@@ -178,8 +178,22 @@ def _cmd_weights(args, field, mode):
     return 0
 
 
+def _attach_negative_rationals(argv):
+    """argparse takes a value such as -2/7 for an option string, so join
+    it to its option: "--r -2/7" becomes "--r=-2/7"."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in ("-z", "--r", "--s")
+                and tok.startswith("-") and "/" in tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_rationals(argv))
     try:
         params = _params(args)
         field = params.field()

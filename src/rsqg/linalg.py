@@ -7,6 +7,10 @@ reduced form is the unique reduced echelon basis for that convention.
 This choice is load-bearing for quotients: the surviving coset
 representatives are then the lexicographically smallest coordinates,
 which for tensor bases are the strictly increasing index tuples.
+
+All elimination runs through one kernel, _Echelon: subspace spans and
+membership, kernel/image/rank, the inverse, and (in rsqg.wedge) the
+wedge dimension.
 """
 
 from __future__ import annotations
@@ -203,31 +207,43 @@ def _axpy(dst, c, src):
 
 
 class _Echelon:
-    """Incremental echelon form with trailing pivots (pivot = max index)."""
+    """Incremental echelon form with trailing pivots (pivot = max index).
 
-    __slots__ = ("rows",)
+    With history=True every pivot row also carries a history row: the
+    combination of the histories handed to insert that the pivot row
+    equals.  Reduction and back_reduce update histories alongside rows.
+    """
 
-    def __init__(self):
-        self.rows = {}
+    __slots__ = ("rows", "hist")
 
-    def reduce(self, vec):
-        """Forward-reduce vec in place; return its pivot or None if dependent."""
+    def __init__(self, rows=None, history=False):
+        self.rows = {} if rows is None else rows
+        self.hist = {} if history else None
+
+    def reduce(self, vec, hist=None):
+        """Forward-reduce vec (and hist alongside it) in place; return the
+        pivot of vec, or None if it reduced to zero (dependent)."""
         while vec:
             p = max(vec)
             row = self.rows.get(p)
             if row is None:
                 return p
+            if hist is not None:
+                _axpy(hist, vec[p], self.hist[p])
             _axpy(vec, vec[p], row)
         return None
 
-    def insert(self, vec):
-        """Insert a copy of vec; return the new pivot, or None if dependent."""
+    def insert(self, vec, hist=None):
+        """Insert a copy of vec; return the new pivot, or None if dependent
+        (hist is reduced in place: then it is a vanishing combination)."""
         vec = dict(vec)
-        p = self.reduce(vec)
+        p = self.reduce(vec, hist)
         if p is None:
             return None
         c = vec[p]
         self.rows[p] = {t: v / c for t, v in vec.items()}
+        if hist is not None:
+            self.hist[p] = {t: v / c for t, v in hist.items()}
         return p
 
     def back_reduce(self):
@@ -237,6 +253,8 @@ class _Echelon:
             row = self.rows[p]
             hits = [q for q in row if q != p and q in self.rows]
             for q in hits:
+                if self.hist is not None:
+                    _axpy(self.hist[p], row[q], self.hist[q])
                 _axpy(row, row[q], self.rows[q])
 
     @property
@@ -252,12 +270,13 @@ class Subspace:
     bases.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_ech")
 
     def __init__(self, ambient_dim, basis, pivots):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._ech = None
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
@@ -277,15 +296,9 @@ class Subspace:
         return len(self.basis)
 
     def contains_vector(self, vec):
-        vec = dict(vec)
-        pos = {p: i for i, p in enumerate(self.pivots)}
-        while vec:
-            p = max(vec)
-            i = pos.get(p)
-            if i is None:
-                return False
-            _axpy(vec, vec[p], self.basis[i])
-        return True
+        if self._ech is None:
+            self._ech = _Echelon(dict(zip(self.pivots, self.basis)))
+        return self._ech.reduce(dict(vec)) is None
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
@@ -311,6 +324,17 @@ class Subspace:
         return f"Subspace(dim={self.dim} in {self.ambient_dim})"
 
 
+def _dependent_columns(mat, field, ech):
+    """Insert the columns of mat left to right into ech (which tracks
+    history) and yield the kernel vector each dependent column certifies:
+    its history, the combination of original columns that vanishes."""
+    cols = mat._columns()
+    for j in range(1, mat.cols + 1):
+        h = {j: field.one}
+        if ech.insert(cols.get(j, {}), h) is None:
+            yield h
+
+
 def kernel_image_rank(mat, field):
     """(kernel, image, rank) of a sparse matrix by exact elimination.
 
@@ -318,28 +342,10 @@ def kernel_image_rank(mat, field):
     echelon of the image or certifies a kernel vector through the recorded
     combination of original columns (deterministic output).
     """
-    ech = _Echelon()
-    hist = {}
-    kernel_vecs = []
-    cols = mat._columns()
-    for j in range(1, mat.cols + 1):
-        v = dict(cols.get(j, {}))
-        h = {j: field.one}
-        while v:
-            p = max(v)
-            row = ech.rows.get(p)
-            if row is None:
-                break
-            c = v[p]
-            _axpy(v, c, row)
-            _axpy(h, c, hist[p])
-        if v:
-            p = max(v)
-            c = v[p]
-            ech.rows[p] = {t: x / c for t, x in v.items()}
-            hist[p] = {t: x / c for t, x in h.items()}
-        else:
-            kernel_vecs.append(h)
+    ech = _Echelon(history=True)
+    kernel_vecs = list(_dependent_columns(mat, field, ech))
+    # the image needs no histories; back-reducing them costs an inverse
+    ech.hist = None
     ech.back_reduce()
     pivots = sorted(ech.rows)
     image = Subspace(mat.rows, [ech.rows[p] for p in pivots], pivots)
@@ -348,43 +354,19 @@ def kernel_image_rank(mat, field):
 
 
 def invert(mat, field):
-    """Exact inverse of a square matrix; raises SingularInput."""
+    """Exact inverse of a square matrix; raises SingularInput.
+
+    After back reduction the echelon rows of an invertible matrix are the
+    unit vectors, so the history of pivot p is column p of the inverse.
+    """
     if mat.rows != mat.cols:
         raise SingularInput("only square matrices can be inverted")
-    n = mat.rows
-    ech = _Echelon()
-    hist = {}
-    cols = mat._columns()
-    for j in range(1, n + 1):
-        v = dict(cols.get(j, {}))
-        h = {j: field.one}
-        while v:
-            p = max(v)
-            row = ech.rows.get(p)
-            if row is None:
-                break
-            c = v[p]
-            _axpy(v, c, row)
-            _axpy(h, c, hist[p])
-        if not v:
-            raise SingularInput("matrix is singular")
-        p = max(v)
-        c = v[p]
-        ech.rows[p] = {t: x / c for t, x in v.items()}
-        hist[p] = {t: x / c for t, x in h.items()}
-    ent = {}
-    for i in range(1, n + 1):
-        # solve mat * x = e_i against the echelon of columns
-        res = {i: field.one}
-        sol = {}
-        while res:
-            p = max(res)
-            c = res[p]
-            _axpy(res, c, ech.rows[p])
-            _axpy(sol, -c, hist[p])
-        for t, v in sol.items():
-            ent[(t, i)] = v
-    return Matrix(n, n, ent, _clean=True)
+    ech = _Echelon(history=True)
+    for _ in _dependent_columns(mat, field, ech):
+        raise SingularInput("matrix is singular")
+    ech.back_reduce()
+    ent = {(t, p): v for p, h in ech.hist.items() for t, v in h.items()}
+    return Matrix(mat.rows, mat.cols, ent, _clean=True)
 
 
 def annihilation_check(mat, factors, field):
@@ -420,36 +402,17 @@ class QuotientData:
     sub and restricts to the identity on representative coordinates.
     """
 
-    __slots__ = ("ambient_dim", "sub", "rep_indices", "projection", "_cols")
+    __slots__ = ("ambient_dim", "sub", "rep_indices", "projection")
 
     def __init__(self, ambient_dim, sub, rep_indices, projection):
         self.ambient_dim = ambient_dim
         self.sub = sub
         self.rep_indices = rep_indices
         self.projection = projection
-        self._cols = None
-
-    def _proj_cols(self):
-        if self._cols is None:
-            cols = {}
-            for (i, j), v in self.projection.entries.items():
-                cols.setdefault(j, []).append((i, v))
-            self._cols = cols
-        return self._cols
 
     def project_vector(self, vec):
         """Image of an ambient vector in representative coordinates."""
-        cols = self._proj_cols()
-        out = {}
-        for j, x in vec.items():
-            for i, a in cols.get(j, ()):
-                cur = out.get(i)
-                nv = a * x if cur is None else cur + a * x
-                if nv:
-                    out[i] = nv
-                elif cur is not None:
-                    del out[i]
-        return out
+        return self.projection.apply(vec)
 
 
 def quotient_data(sub, field):

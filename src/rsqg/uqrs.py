@@ -93,6 +93,11 @@ def _gen_name(family, i):
     return f"{family}{i}"
 
 
+def _generator_names(n):
+    """Generator keys for rank n in the fixed order of the JSON output."""
+    return [_gen_name(fam, i) for fam in _GEN_FAMILIES for i in range(1, n)]
+
+
 def _parse_gen(name):
     """Split a generator key into (family, index, inverted)."""
     inv = name.endswith("_inv")
@@ -117,8 +122,7 @@ class Representation:
                 raise ValueError(f"generator {name} has wrong shape")
 
     def generator_names(self):
-        return [_gen_name(fam, i)
-                for fam in _GEN_FAMILIES for i in range(1, self.n)]
+        return _generator_names(self.n)
 
     def gen(self, name):
         return self.gens[name]

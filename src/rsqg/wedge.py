@@ -24,9 +24,9 @@ from .linalg import (Matrix, Subspace, _Echelon, kernel_image_rank,
                      quotient_data, tensor_index, tensor_tuple)
 from .rmatrix import build_r_z
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
-                   Representation, Weight, check_defining_relations,
-                   natural_rep, tensor_action, tensor_power_rep, weight_char,
-                   weight_spaces)
+                   Representation, Weight, _generator_names,
+                   check_defining_relations, natural_rep, tensor_action,
+                   tensor_power_rep, weight_char, weight_spaces)
 
 
 class WellDefinednessFailure(AssertionError):
@@ -37,13 +37,7 @@ def sym2(n, field):
     """The (r,s)-symmetric square of V inside V x V."""
     if n < 1:
         raise InvalidRank("rank parameter n must be at least 1")
-    one, s = field.one, field.s
-    vecs = [{tensor_index((i, i), n): one} for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vecs.append({tensor_index((i, j), n): one,
-                         tensor_index((j, i), n): s})
-    return Subspace.from_vectors(n * n, vecs)
+    return Subspace.from_vectors(n * n, _insertion_vectors(n, 2, field))
 
 
 def alt2(n, field):
@@ -103,45 +97,43 @@ def _insertion_vectors(n, k, field):
 
 
 def _relation_subspace(n, k, field):
-    if k == 1:
-        return Subspace.zero(n)
     return Subspace.from_vectors(n**k, _insertion_vectors(n, k, field))
 
 
 def wedge_dimension(n, k, field):
     """dim of the k-th wedge quotient, by rank of the relation span only.
 
-    The elimination loop is inlined: relation vectors are 2-sparse and
-    stay 2-sparse under trailing-pivot reduction, so each insertion is a
-    short straightening walk.  This makes n^k ambient dimensions in the
-    hundreds of thousands tractable.
+    Relation vectors are 2-sparse and stay 2-sparse under trailing-pivot
+    reduction, so each insertion is a short straightening walk, and no
+    back reduction is needed for a rank.  This makes n^k ambient
+    dimensions in the hundreds of thousands tractable.
     """
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 0:
         raise InvalidPower("tensor power k must be nonnegative")
-    if k == 0:
-        return 1
-    if k == 1:
-        return n
-    rows = {}
+    # for k < 2 there are no relations: dimension n^k
+    ech = _Echelon()
     for vec in _insertion_vectors(n, k, field):
-        while vec:
-            p = max(vec)
-            row = rows.get(p)
-            if row is None:
-                c = vec[p]
-                rows[p] = {t: v / c for t, v in vec.items()}
-                break
-            c = vec[p]
-            for t, v in row.items():
-                cur = vec.get(t)
-                nv = -(c * v) if cur is None else cur - c * v
-                if nv:
-                    vec[t] = nv
-                else:
-                    vec.pop(t, None)
-    return n**k - len(rows)
+        ech.insert(vec)
+    return n**k - ech.rank
+
+
+def _wedge_quotient(n, k, field):
+    """Relation subspace, quotient data and wedge labels of V^{x k}."""
+    sub = _relation_subspace(n, k, field)
+    qd = quotient_data(sub, field)
+    return sub, qd, [tensor_tuple(t, n, k) for t in qd.rep_indices]
+
+
+def _straighten(n, k, field, qd, labels, tup):
+    tup = tuple(tup)
+    if len(tup) != k:
+        raise ValueError(f"expected a {k}-tuple")
+    if any(t < 1 or t > n for t in tup):
+        raise ValueError("tuple entries must lie in 1..n")
+    out = qd.project_vector({tensor_index(tup, n): field.one})
+    return {labels[i - 1]: c for i, c in sorted(out.items())}
 
 
 def _apply_gen(field, n, k, name, vec):
@@ -192,14 +184,8 @@ class QuotientModule:
     def straighten(self, tup):
         """Expansion of the coset of v_{t1} x ... x v_{tk} in the wedge
         basis, as a map label -> coefficient (empty when the coset is 0)."""
-        tup = tuple(tup)
-        if len(tup) != self.k:
-            raise ValueError(f"expected a {self.k}-tuple")
-        if any(t < 1 or t > self.n for t in tup):
-            raise ValueError("tuple entries must lie in 1..n")
-        amb = {tensor_index(tup, self.n): self.field.one}
-        out = self.qdata.project_vector(amb)
-        return {self.labels[i - 1]: c for i, c in sorted(out.items())}
+        return _straighten(self.n, self.k, self.field, self.qdata,
+                           self.labels, tup)
 
     def to_json(self):
         return {
@@ -226,16 +212,12 @@ def build_wedge_module(n, k, field):
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
-    sub = _relation_subspace(n, k, field)
-    qd = quotient_data(sub, field)
-    labels = [tensor_tuple(t, n, k) for t in qd.rep_indices]
-    names = [f"{fam}{i}{suf}" for fam, suf in
-             (("e", ""), ("f", ""), ("w", ""), ("wp", ""),
-              ("w", "_inv"), ("wp", "_inv")) for i in range(1, n)]
+    sub, qd, labels = _wedge_quotient(n, k, field)
+    names = _generator_names(n)
     for name in names:
         for row in sub.basis:
-            img = _apply_gen(field, n, k, name, row)
-            if not sub.contains_vector(img):
+            # the projection's kernel is exactly the relation subspace
+            if qd.project_vector(_apply_gen(field, n, k, name, row)):
                 raise WellDefinednessFailure(
                     f"{name} does not preserve the relation subspace "
                     f"at (n, k) = ({n}, {k})")
@@ -261,16 +243,8 @@ def build_wedge_module(n, k, field):
 def straighten(n, k, tup, field):
     """Standalone straightening of one monomial (builds the quotient data,
     so prefer QuotientModule.straighten for repeated use)."""
-    sub = _relation_subspace(n, k, field)
-    qd = quotient_data(sub, field)
-    labels = [tensor_tuple(t, n, k) for t in qd.rep_indices]
-    tup = tuple(tup)
-    if len(tup) != k:
-        raise ValueError(f"expected a {k}-tuple")
-    if any(t < 1 or t > n for t in tup):
-        raise ValueError("tuple entries must lie in 1..n")
-    out = qd.project_vector({tensor_index(tup, n): field.one})
-    return {labels[i - 1]: c for i, c in sorted(out.items())}
+    _, qd, labels = _wedge_quotient(n, k, field)
+    return _straighten(n, k, field, qd, labels, tup)
 
 
 def verify_fundamental(n, k, field, module=None):

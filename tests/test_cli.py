@@ -46,6 +46,16 @@ def test_bad_rational_exits_2(capsys):
     assert err != ""
 
 
+def test_negative_slash_rational_values(capsys):
+    # "-2/7" must reach the option as its value, not parse as an option
+    for argv in (("rmatrix", "-n", "2", "-z"), ("rep", "natural", "-n", "2",
+                                                "--r")):
+        code, out, err = run_cli(capsys, *argv, "-2/7")
+        assert code == 0 and err == ""
+        joined = run_cli(capsys, *argv[:-1], argv[-1] + "=-2/7")
+        assert joined == (0, out, "")
+
+
 def test_rep_tensor_and_check(capsys):
     code, out, _ = run_cli(capsys, "rep", "tensor", "-n", "2", "-k", "2")
     assert code == 0

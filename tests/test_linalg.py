@@ -133,6 +133,18 @@ def test_kernel_image_rank_symbolic():
     assert m.apply(kernel.basis[0]) == {}
 
 
+def test_singular_after_elimination_symbolic():
+    # no zero row or column: the dependence shows only after elimination
+    sym = SymbolicField()
+    r, s = sym.r, sym.s
+    m = Matrix(2, 2, {(1, 1): r, (1, 2): s, (2, 1): r * r, (2, 2): r * s})
+    with pytest.raises(SingularInput):
+        invert(m, sym)
+    kernel, image, rank = kernel_image_rank(m, sym)
+    assert rank == 1 and image.dim == 1 and kernel.dim == 1
+    assert m.apply(kernel.basis[0]) == {}
+
+
 def test_invert_roundtrip_and_errors():
     for _ in range(10):
         m = random_sparse(rng, 4, 4, fill=0.7)
@@ -196,3 +208,22 @@ def test_quotient_data_projection_linear():
     for vec in sub.basis:
         assert qd.project_vector(vec) == {}
     assert qd.projection.rows == 2 and qd.projection.cols == 4
+
+
+def test_quotient_projection_kills_exactly_the_subspace():
+    checked_outside = 0
+    for _ in range(15):
+        gens = random_sparse(rng, 6, rng.randint(1, 4), fill=0.3)
+        sub = Subspace.from_vectors(6, [gens.col(j)
+                                        for j in range(1, gens.cols + 1)])
+        qd = quotient_data(sub, smp)
+        for _ in range(6):
+            coeffs = random_sparse(rng, gens.cols, 1, fill=0.7).col(1)
+            inside = gens.apply(coeffs)
+            assert sub.contains_vector(inside)
+            assert not qd.project_vector(inside)
+            vec = random_sparse(rng, 6, 1, fill=0.5).col(1)
+            member = sub.contains_vector(vec)
+            assert (not qd.project_vector(vec)) == member
+            checked_outside += not member
+    assert checked_outside > 0
