@@ -3,12 +3,11 @@ two-parameter quantum group on sl_n."""
 
 from .scalars import (BiPoly, DenominatorVanishes, DivisionByZero,
                       GenericityError, ParamSpec, QRat, RatFunc, SampledField,
-                      SymbolicField, evaluate, field_arith, genericity_check,
+                      SymbolicField, evaluate, genericity_check,
                       specialize_jimbo)
 from .linalg import (AmbientMismatch, Matrix, QuotientData, SingularInput,
                      Subspace, annihilation_check, invert, kernel_image_rank,
-                     kron, quotient_data, subspace_sum, tensor_index,
-                     tensor_tuple)
+                     quotient_data, subspace_sum, tensor_index, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    NonDiagonalAction, Representation, Weight, WeightChar,
                    check_defining_relations, highest_weight_vectors,
@@ -35,9 +34,9 @@ __all__ = [
     "annihilation_check", "build_r", "build_r_inverse", "build_r_z",
     "build_wedge_module", "check_braid_constant", "check_defining_relations",
     "check_min_poly", "check_module_morphism", "check_ybe_spectral",
-    "evaluate", "field_arith", "genericity_check", "highest_weight_vectors",
+    "evaluate", "genericity_check", "highest_weight_vectors",
     "hopf_antipode_check", "invert", "jimbo_compare", "kernel_image_rank",
-    "kron", "natural_rep", "quotient_data", "spectral_projector_check",
+    "natural_rep", "quotient_data", "spectral_projector_check",
     "specialize_jimbo", "straighten", "subspace_sum", "sym2",
     "tensor_action", "tensor_index", "tensor_power_rep", "tensor_tuple",
     "verify_fundamental", "weight_char", "weight_spaces", "wedge_dimension",

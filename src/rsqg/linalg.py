@@ -191,10 +191,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def kron(a, b):
-    return a.kron(b)
-
-
 def _axpy(dst, c, src):
     # dst -= c * src, in place
     for t, v in src.items():

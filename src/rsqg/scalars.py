@@ -531,16 +531,6 @@ class RatFunc:
                 f"denominator {self.den} vanishes at r={r0}, s={s0}")
         return self.num.evaluate(r0, s0) / dv
 
-    def monomial_exponents(self):
-        """(a, b) with self = r^a s^b, or None if not such a monomial."""
-        if len(self.num.terms) != 1 or len(self.den.terms) != 1:
-            return None
-        (na, nb), nc = next(iter(self.num.terms.items()))
-        (da, db), dc = next(iter(self.den.terms.items()))
-        if nc != 1 or dc != 1:
-            return None
-        return (na - da, nb - db)
-
     def __str__(self):
         if self.den.terms == _ONE_TERMS:
             return str(self.num)
@@ -548,21 +538,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def field_arith(a, b, op):
-    """Field operation dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("division by zero scalar")
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
 
 
 def evaluate(f, r0, s0):
@@ -764,9 +739,6 @@ class SymbolicField:
     def format(self, x):
         return str(x)
 
-    def monomial_exponents(self, x):
-        return x.monomial_exponents()
-
     def __repr__(self):
         return "SymbolicField()"
 
@@ -785,8 +757,6 @@ class SampledField:
         self.s = s0
         self.zero = _F0
         self.one = _F1
-        self._s_table = None
-        self._expo_cache = {}
 
     def from_int(self, m):
         return Fraction(m)
@@ -799,42 +769,6 @@ class SampledField:
 
     def format(self, x):
         return str(x)
-
-    def monomial_exponents(self, x, bound=32):
-        """Recover (a, b) with x = r0^a s0^b by bounded search, or None.
-
-        Assumes r0, s0 multiplicatively independent for faithful recovery;
-        otherwise the representative with smallest |a| is returned.
-        """
-        x = x if isinstance(x, Fraction) else Fraction(x)
-        if x == 0:
-            return None
-        if x in self._expo_cache:
-            return self._expo_cache[x]
-        if self._s_table is None:
-            tbl = {_F1: 0}
-            vp = vn = _F1
-            for b in range(1, bound + 1):
-                vp *= self.s
-                vn /= self.s
-                tbl.setdefault(vp, b)
-                tbl.setdefault(vn, -b)
-            self._s_table = tbl
-        tbl = self._s_table
-        res = None
-        rp = _F1
-        for a in range(bound + 1):
-            cands = ((a, rp),) if a == 0 else ((a, rp), (-a, 1 / rp))
-            for aa, v in cands:
-                b = tbl.get(x / v)
-                if b is not None:
-                    res = (aa, b)
-                    break
-            if res is not None:
-                break
-            rp *= self.r
-        self._expo_cache[x] = res
-        return res
 
     def __repr__(self):
         return f"SampledField(r={self.r}, s={self.s})"

@@ -3,8 +3,14 @@
 The algebra has generators e_i, f_i and invertible group-likes w_i, w_i'
 for 1 <= i < n.  A Representation stores one sparse matrix per generator
 (inverses included, so no inversion happens downstream) together with the
-scalar field.  The defining relations R1-R7 can be checked on any
-representation, with machine-readable witnesses for every failure.
+scalar field and the weight of each basis vector.  The defining relations
+R1-R7 can be checked on any representation, with machine-readable
+witnesses for every failure.
+
+Weights are carried from the construction (eps_t on the natural module,
+the tuple content on a tensor power) and verified, never recovered: the
+weight spaces require w_i, w_i' to act diagonally by the character of
+each basis vector's weight.
 
 Tensor powers carry the coproduct action
     e_i |-> sum_j w_i^(j-1 factors) x e_i x 1...,
@@ -108,18 +114,22 @@ def _parse_gen(name):
 
 
 class Representation:
-    """A module over U_{r,s}(sl_n): one matrix per generator, plus the field."""
+    """A module over U_{r,s}(sl_n): one matrix per generator, the field,
+    and one Weight per basis vector."""
 
-    __slots__ = ("n", "dim", "gens", "field")
+    __slots__ = ("n", "dim", "gens", "field", "weights")
 
-    def __init__(self, n, dim, gens, field):
+    def __init__(self, n, dim, gens, field, weights):
         self.n = n
         self.dim = dim
         self.gens = gens
         self.field = field
+        self.weights = weights
         for name, mat in gens.items():
             if mat.rows != dim or mat.cols != dim:
                 raise ValueError(f"generator {name} has wrong shape")
+        if len(weights) != dim:
+            raise ValueError(f"{len(weights)} weights for dimension {dim}")
 
     def generator_names(self):
         return _generator_names(self.n)
@@ -180,7 +190,8 @@ def natural_rep(n, field):
         gens[f"wp{i}"] = Matrix.diagonal(dwp)
         gens[f"w{i}_inv"] = Matrix.diagonal(dwi)
         gens[f"wp{i}_inv"] = Matrix.diagonal(dwpi)
-    return Representation(n, n, gens, field)
+    return Representation(n, n, gens, field,
+                          [Weight.eps(t, n) for t in range(1, n + 1)])
 
 
 def tensor_power_rep(base, k):
@@ -216,7 +227,11 @@ def tensor_power_rep(base, k):
         gens[f"wp{i}"] = wppow[-1].kron(Wp)
         gens[f"w{i}_inv"] = winvp[k]
         gens[f"wp{i}_inv"] = wpinvp[k]
-    return Representation(n, d**k, gens, fld)
+    # the weight of a tensor monomial is the sum over its factors
+    weights = base.weights
+    for _ in range(k - 1):
+        weights = [a + b for a in weights for b in base.weights]
+    return Representation(n, d**k, gens, fld, weights)
 
 
 def omega_eigenvalue(field, i, t, primed=False):
@@ -377,57 +392,36 @@ def weight_char(lam, n, field):
     return WeightChar(tuple(pairs))
 
 
-def _basis_weights(rep):
-    """Weight of each basis vector, read off the diagonal w / w' actions."""
-    n, fld = rep.n, rep.field
-    expo = {}
-    for i in range(1, n):
-        for primed in (False, True):
-            name = f"wp{i}" if primed else f"w{i}"
-            mat = rep.gens[name]
-            for (a, b) in mat.entries:
-                if a != b:
+def _verified_weights(rep):
+    """rep.weights, after checking that every w_i, w_i' acts diagonally on
+    basis vector t by the character of weights[t]."""
+    chars = {w: weight_char(w, rep.n, rep.field).pairs
+             for w in set(rep.weights)}
+    for i in range(1, rep.n):
+        for primed, name in ((0, f"w{i}"), (1, f"wp{i}")):
+            ent = rep.gens[name].entries
+            for t, w in enumerate(rep.weights, 1):
+                if ent.get((t, t)) != chars[w][i - 1][primed]:
                     raise NonDiagonalAction(
-                        f"{name} has an off-diagonal entry at ({a}, {b})")
-            row = []
-            for t in range(1, rep.dim + 1):
-                v = mat.entries.get((t, t))
-                if v is None:
-                    raise NonDiagonalAction(f"{name} is singular on the basis")
-                ex = fld.monomial_exponents(v)
-                if ex is None:
-                    raise NonDiagonalAction(
-                        f"{name} eigenvalue {fld.format(v)} is not r^a s^b")
-                row.append(ex)
-            expo[(i, primed)] = row
-    weights = []
-    for t in range(rep.dim):
-        c = [0] * n
-        c[0] = expo[(1, False)][t][0]
-        for i in range(1, n):
-            c[i] = expo[(i, False)][t][1]
-        for i in range(1, n):
-            if expo[(i, False)][t] != (c[i - 1], c[i]):
+                        f"{name} does not act on basis vector {t} by the "
+                        f"character of its weight {w}")
+            if len(ent) != rep.dim:
+                a, b = next(key for key in ent if key[0] != key[1])
                 raise NonDiagonalAction(
-                    f"inconsistent w-eigenvalues on basis vector {t + 1}")
-            if expo[(i, True)][t] != (c[i], c[i - 1]):
-                raise NonDiagonalAction(
-                    f"inconsistent w'-eigenvalues on basis vector {t + 1}")
-        weights.append(Weight(tuple(c)))
-    return weights
+                    f"{name} has an off-diagonal entry at ({a}, {b})")
+    return rep.weights
 
 
 def weight_spaces(rep):
     """Decompose the underlying space into weight subspaces.
 
-    Requires all w_i, w_i' to act diagonally with monomial eigenvalues
-    (raises NonDiagonalAction otherwise).  In sampled mode the exponents
-    are recovered by integer-log search on the sampled eigenvalues.
+    The weights are the ones the representation carries; they are verified
+    first (NonDiagonalAction names the generator, basis index and weight
+    where w_i or w_i' does not act by the weight's character).
     """
-    weights = _basis_weights(rep)
     fld = rep.field
     groups = {}
-    for t, w in enumerate(weights, 1):
+    for t, w in enumerate(_verified_weights(rep), 1):
         groups.setdefault(w, []).append(t)
     return {w: Subspace.from_vectors(rep.dim, [{t: fld.one} for t in idxs])
             for w, idxs in groups.items()}
@@ -442,7 +436,7 @@ def highest_weight_vectors(rep):
         coeffs, _, _ = kernel_image_rank(rep.e(i) * bm, fld)
         vecs = [bm.apply(c) for c in coeffs.basis]
         space = Subspace.from_vectors(rep.dim, vecs)
-    weights = _basis_weights(rep)
+    weights = _verified_weights(rep)
     out = []
     for vec in space.basis:
         support_weights = {weights[t - 1] for t in vec}

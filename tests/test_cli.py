@@ -160,6 +160,18 @@ def test_weights_output(capsys):
                                {"weight": [0, 2], "dim": 1}]
 
 
+def test_weights_at_dependent_parameters(capsys):
+    # r and s multiplicatively dependent: r = s^2, s = r^2, rs = 1, r = 1
+    rows = [{"weight": w, "dim": d} for w, d in
+            (([2, 0, 0], 1), ([1, 1, 0], 2), ([1, 0, 1], 2), ([0, 2, 0], 1),
+             ([0, 1, 1], 2), ([0, 0, 2], 1))]
+    for r, s in (("2", "4"), ("4", "2"), ("2", "1/2"), ("1", "-3")):
+        code, out, err = run_cli(capsys, "weights", "-n", "3", "-k", "2",
+                                 "--r", r, "--s", s)
+        assert (code, err) == (0, ""), (r, s, err)
+        assert json.loads(out)["weights"] == rows
+
+
 def test_output_is_deterministic(capsys):
     runs = []
     for _ in range(2):

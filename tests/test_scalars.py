@@ -5,7 +5,7 @@ import pytest
 
 from rsqg import (BiPoly, DenominatorVanishes, DivisionByZero, GenericityError,
                   ParamSpec, QRat, RatFunc, SampledField, SymbolicField,
-                  evaluate, field_arith, genericity_check, specialize_jimbo)
+                  evaluate, genericity_check, specialize_jimbo)
 
 from helpers import random_bipoly, random_ratfunc
 
@@ -110,31 +110,11 @@ def test_ratfunc_str():
     assert str(RatFunc(BiPoly.zero())) == "0"
 
 
-def test_field_arith_dispatch():
-    a, b = RatFunc(R), RatFunc(S)
-    assert field_arith(a, b, "add") == a + b
-    assert field_arith(a, b, "sub") == a - b
-    assert field_arith(a, b, "mul") == a * b
-    assert field_arith(a, b, "div") == a / b
-    with pytest.raises(DivisionByZero):
-        field_arith(a, RatFunc(BiPoly.zero()), "div")
-    with pytest.raises(ValueError):
-        field_arith(a, b, "pow")
-
-
 def test_evaluate_and_denominator_vanishes():
     f = RatFunc(ONE, R - S)
     assert evaluate(f, 2, 3) == Fraction(-1)
     with pytest.raises(DenominatorVanishes):
         evaluate(f, 2, 2)
-
-
-def test_monomial_exponents():
-    sym = SymbolicField()
-    assert (sym.r**2 / sym.s).monomial_exponents() == (2, -1)
-    assert sym.one.monomial_exponents() == (0, 0)
-    assert (sym.r + sym.s).monomial_exponents() is None
-    assert (sym.r * 2).monomial_exponents() is None
 
 
 def test_qrat_arithmetic_and_str():
@@ -195,18 +175,6 @@ def test_sampled_field_rejects_degenerate_parameters():
         SampledField(0, 1)
     with pytest.raises(GenericityError):
         SampledField(3, -3)
-
-
-def test_sampled_field_recovers_monomial_exponents():
-    f = SampledField(2, 3)
-    assert f.monomial_exponents(Fraction(12)) == (2, 1)
-    assert f.monomial_exponents(Fraction(1)) == (0, 0)
-    assert f.monomial_exponents(Fraction(2, 3)) == (1, -1)
-    assert f.monomial_exponents(Fraction(1, 8)) == (-3, 0)
-    assert f.monomial_exponents(Fraction(5)) is None
-    assert f.monomial_exponents(Fraction(0)) is None
-    g = SampledField(Fraction(1, 2), 3)
-    assert g.monomial_exponents(Fraction(9, 4)) == (2, 2)
 
 
 def test_field_interfaces_agree():

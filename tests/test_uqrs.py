@@ -58,7 +58,7 @@ def test_relation_failure_witness():
     ident = Matrix.identity(2, sym.one)
     gens["w1"] = ident
     gens["w1_inv"] = ident
-    broken = Representation(2, 2, gens, sym)
+    broken = Representation(2, 2, gens, sym, rep.weights)
     report = check_defining_relations(broken)
     assert not report.ok
     bad = {(c.name, c.indices) for c in report.failures()}
@@ -157,9 +157,31 @@ def test_weight_spaces_rejects_non_diagonal():
     rep = natural_rep(2, sym)
     gens = dict(rep.gens)
     gens["w1"] = Matrix(2, 2, {(1, 2): sym.one, (2, 1): sym.one})
-    broken = Representation(2, 2, gens, sym)
+    broken = Representation(2, 2, gens, sym, rep.weights)
     with pytest.raises(NonDiagonalAction):
         weight_spaces(broken)
+    # the right diagonal plus one off-diagonal entry
+    gens["w1"] = rep.w(1) + Matrix(2, 2, {(1, 2): sym.one})
+    broken = Representation(2, 2, gens, sym, rep.weights)
+    with pytest.raises(NonDiagonalAction, match=r"w1 .* \(1, 2\)"):
+        weight_spaces(broken)
+
+
+def test_weight_spaces_verifies_the_carried_weights():
+    # w1 = diag(s, r) is diagonal with monomial entries, but not the
+    # character of the weights eps_1, eps_2 that the natural module carries
+    rep = natural_rep(2, sym)
+    gens = dict(rep.gens, w1=Matrix.diagonal([sym.s, sym.r]))
+    with pytest.raises(NonDiagonalAction, match=r"w1 .* basis vector 1 "):
+        weight_spaces(Representation(2, 2, gens, sym, rep.weights))
+    # w1' rescaled at one basis vector of the tensor square
+    rep2 = tensor_power_rep(natural_rep(2, smp), 2)
+    ent = dict(rep2.wp(1).entries)
+    ent[(3, 3)] *= 5
+    gens = dict(rep2.gens, wp1=Matrix(4, 4, ent))
+    with pytest.raises(NonDiagonalAction,
+                       match=r"wp1 .* basis vector 3 .*\(1, 1\)"):
+        weight_spaces(Representation(2, 4, gens, smp, rep2.weights))
 
 
 def test_highest_weight_vectors_natural():
@@ -189,7 +211,7 @@ def test_hopf_antipode_check():
     rep = natural_rep(2, sym)
     gens = dict(rep.gens)
     gens["w1_inv"] = Matrix.identity(2, sym.one)
-    broken = Representation(2, 2, gens, sym)
+    broken = Representation(2, 2, gens, sym, rep.weights)
     report = hopf_antipode_check(broken)
     assert not report.ok
     assert any(c.name == "antipode:w" for c in report.failures())
@@ -206,4 +228,8 @@ def test_representation_json_shape():
 
 def test_representation_shape_validation():
     with pytest.raises(ValueError):
-        Representation(2, 3, {"e1": Matrix.zero(2, 2)}, smp)
+        Representation(2, 3, {"e1": Matrix.zero(2, 2)}, smp,
+                       [Weight.zero(2)] * 3)
+    with pytest.raises(ValueError):
+        Representation(2, 2, {"e1": Matrix.zero(2, 2)}, smp,
+                       [Weight.zero(2)] * 3)

@@ -204,6 +204,18 @@ def test_verify_fundamental():
         assert report.ok, (n, k, [c.name for c in report.failures()])
     report = verify_fundamental(3, 2, sym)
     assert report.ok
+    # multiplicatively dependent parameters: r = s^2, and r = 1
+    assert verify_fundamental(3, 2, SampledField(4, 2)).ok
+    assert verify_fundamental(4, 3, SampledField(1, -3)).ok
+
+
+def test_verify_fundamental_fails_on_a_wrong_weight_action():
+    # a corrupted w1 is a failed "weights" row, not an exception
+    mod = build_wedge_module(3, 2, smp)
+    mod.induced.gens["w1"] = mod.induced.w(1).scale(smp.r)
+    report = verify_fundamental(3, 2, smp, module=mod)
+    failed = {c.name for c in report.failures()}
+    assert "weights are the k-subsets" in failed
 
 
 def test_verify_fundamental_bounds():
