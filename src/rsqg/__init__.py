@@ -6,10 +6,10 @@ from .scalars import (BiPoly, DenominatorVanishes, DivisionByZero,
                       SymbolicField, evaluate, genericity_check,
                       specialize_jimbo)
 from .linalg import (AmbientMismatch, Matrix, QuotientData, SingularInput,
-                     Subspace, annihilation_check, invert, kernel_image_rank,
-                     quotient_data, subspace_sum, tensor_index, tensor_tuple)
+                     Subspace, invert, kernel_image_rank, quotient_data,
+                     tensor_index, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
-                   NonDiagonalAction, Representation, Weight, WeightChar,
+                   NonDiagonalAction, Representation, Weight,
                    check_defining_relations, highest_weight_vectors,
                    hopf_antipode_check, natural_rep, tensor_action,
                    tensor_power_rep, weight_char, weight_spaces)
@@ -30,15 +30,14 @@ __all__ = [
     "NonDiagonalAction", "ParamSpec", "QRat", "QuotientData",
     "QuotientModule", "RatFunc", "Representation", "SampledField",
     "SingularInput", "SpectralRMatrix", "Subspace", "SymbolicField",
-    "Weight", "WeightChar", "WellDefinednessFailure", "alt2",
-    "annihilation_check", "build_r", "build_r_inverse", "build_r_z",
-    "build_wedge_module", "check_braid_constant", "check_defining_relations",
+    "Weight", "WellDefinednessFailure", "alt2", "build_r", "build_r_inverse",
+    "build_r_z", "build_wedge_module", "check_braid_constant",
+    "check_defining_relations",
     "check_min_poly", "check_module_morphism", "check_ybe_spectral",
     "evaluate", "genericity_check", "highest_weight_vectors",
     "hopf_antipode_check", "invert", "jimbo_compare", "kernel_image_rank",
     "natural_rep", "quotient_data", "spectral_projector_check",
-    "specialize_jimbo", "straighten", "subspace_sum", "sym2",
-    "tensor_action", "tensor_index", "tensor_power_rep", "tensor_tuple",
-    "verify_fundamental", "weight_char", "weight_spaces", "wedge_dimension",
-    "yang_baxterize",
+    "specialize_jimbo", "straighten", "sym2", "tensor_action", "tensor_index",
+    "tensor_power_rep", "tensor_tuple", "verify_fundamental", "weight_char",
+    "weight_spaces", "wedge_dimension", "yang_baxterize",
 ]

@@ -103,12 +103,9 @@ def _cmd_rep(args, field, mode):
         _emit(natural_rep(args.n, field).to_json(), args.o)
         return 0
     if args.rep_command == "tensor":
-        rep = tensor_power_rep(natural_rep(args.n, field), args.k)
-        _emit(rep.to_json(), args.o)
+        _emit(tensor_power_rep(args.n, args.k, field).to_json(), args.o)
         return 0
-    rep = natural_rep(args.n, field)
-    if args.k > 1:
-        rep = tensor_power_rep(rep, args.k)
+    rep = tensor_power_rep(args.n, args.k, field)
     report = check_defining_relations(rep)
     _emit(_report_json("relations", args, mode, field, report, k=args.k),
           args.o)
@@ -166,9 +163,7 @@ def _cmd_wedge(args, field, mode):
 
 
 def _cmd_weights(args, field, mode):
-    rep = natural_rep(args.n, field)
-    if args.k > 1:
-        rep = tensor_power_rep(rep, args.k)
+    rep = tensor_power_rep(args.n, args.k, field)
     spaces = weight_spaces(rep)
     rows = [{"weight": list(w.coords), "dim": sp.dim}
             for w, sp in sorted(spaces.items(),

@@ -365,31 +365,6 @@ def invert(mat, field):
     return Matrix(mat.rows, mat.cols, ent, _clean=True)
 
 
-def annihilation_check(mat, factors, field):
-    """Whether the product of (mat - c * I) over c in factors is zero."""
-    if mat.rows != mat.cols:
-        raise ValueError("annihilation check needs a square matrix")
-    prod = Matrix.identity(mat.rows, field.one)
-    ident = Matrix.identity(mat.rows, field.one)
-    for c in factors:
-        prod = prod * (mat - ident.scale(c))
-    return prod.is_zero()
-
-
-def subspace_sum(parts):
-    """Sum of subspaces of a common ambient space."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty subspace sum")
-    ambient = parts[0].ambient_dim
-    vectors = []
-    for p in parts:
-        if p.ambient_dim != ambient:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
-        vectors.extend(p.basis)
-    return Subspace.from_vectors(ambient, vectors)
-
-
 class QuotientData:
     """Quotient of the ambient space by sub, with explicit coset data.
 

@@ -17,7 +17,7 @@ import math
 
 from .linalg import Matrix, invert, tensor_index
 from .scalars import QRat, SymbolicField, specialize_jimbo
-from .uqrs import InvalidPower, InvalidRank, natural_rep, tensor_power_rep
+from .uqrs import InvalidPower, InvalidRank, tensor_power_rep
 
 
 class InternalMismatch(AssertionError):
@@ -216,7 +216,7 @@ def check_module_morphism(n, k, field):
     on the k-th tensor power of the natural module."""
     if k < 2:
         raise InvalidPower("module morphism check needs k >= 2")
-    rep = tensor_power_rep(natural_rep(n, field), k)
+    rep = tensor_power_rep(n, k, field)
     R = build_r(n, field)
     for pos in range(1, k):
         rp = _padded(R, pos, k, n, field.one)

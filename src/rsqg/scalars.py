@@ -716,16 +716,38 @@ def genericity_check(r0, s0):
     return bad
 
 
-class SymbolicField:
+class _Field:
+    """What both scalar fields share: the constants, r^a s^b memoized per
+    instance (the tensor-power action asks for the same few powers many
+    times), and printing."""
+
+    def __init__(self, zero, one, r, s):
+        self.zero = zero
+        self.one = one
+        self.r = r
+        self.s = s
+        self._rs_powers = {}
+
+    def rs_power(self, a, b):
+        val = self._rs_powers.get((a, b))
+        if val is None:
+            val = self._rs_powers[(a, b)] = self.r**a * self.s**b
+        return val
+
+    def format(self, x):
+        return str(x)
+
+
+class SymbolicField(_Field):
     """Scalar interface for exact computation in Q(r, s)."""
 
     mode = "symbolic"
 
     def __init__(self):
-        self.zero = RatFunc._canonical(BiPoly.zero(), BiPoly.one())
-        self.one = RatFunc._canonical(BiPoly.one(), BiPoly.one())
-        self.r = RatFunc._canonical(BiPoly.term(1, 0), BiPoly.one())
-        self.s = RatFunc._canonical(BiPoly.term(0, 1), BiPoly.one())
+        super().__init__(RatFunc._canonical(BiPoly.zero(), BiPoly.one()),
+                         RatFunc._canonical(BiPoly.one(), BiPoly.one()),
+                         RatFunc._canonical(BiPoly.term(1, 0), BiPoly.one()),
+                         RatFunc._canonical(BiPoly.term(0, 1), BiPoly.one()))
 
     def from_int(self, m):
         return RatFunc.const(m)
@@ -733,17 +755,11 @@ class SymbolicField:
     def from_fraction(self, q):
         return RatFunc.const(q)
 
-    def rs_power(self, a, b):
-        return self.r**a * self.s**b
-
-    def format(self, x):
-        return str(x)
-
     def __repr__(self):
         return "SymbolicField()"
 
 
-class SampledField:
+class SampledField(_Field):
     """Scalar interface over Q with r, s replaced by fixed rationals."""
 
     mode = "sampled"
@@ -753,22 +769,13 @@ class SampledField:
         bad = genericity_check(r0, s0)
         if bad:
             raise GenericityError("; ".join(bad) + " violates genericity")
-        self.r = r0
-        self.s = s0
-        self.zero = _F0
-        self.one = _F1
+        super().__init__(_F0, _F1, r0, s0)
 
     def from_int(self, m):
         return Fraction(m)
 
     def from_fraction(self, q):
         return Fraction(q)
-
-    def rs_power(self, a, b):
-        return self.r**a * self.s**b
-
-    def format(self, x):
-        return str(x)
 
     def __repr__(self):
         return f"SampledField(r={self.r}, s={self.s})"

@@ -12,17 +12,20 @@ the tuple content on a tensor power) and verified, never recovered: the
 weight spaces require w_i, w_i' to act diagonally by the character of
 each basis vector's weight.
 
-Tensor powers carry the coproduct action
-    e_i |-> sum_j w_i^(j-1 factors) x e_i x 1...,
-    f_i |-> sum_j 1... x f_i x w_i'^(k-j factors),
-and w_i, w_i' act as k-fold Kronecker powers (they are group-like).
+The coproduct action on V^{x k} has one construction, tensor_action, in
+closed form on a single monomial: w_i, w_i' are group-like, e_i acts on
+one factor with the w_i eigenvalues of the factors before it, and f_i
+with the w_i' eigenvalues of the factors after it.  tensor_power_rep
+fills in its matrices one column at a time from it, and the wedge
+modules apply it without building any matrix on V^{x k}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .linalg import Matrix, Subspace, kernel_image_rank
+from .linalg import Matrix, Subspace, kernel_image_rank, tensor_index
 
 
 class InvalidRank(ValueError):
@@ -34,7 +37,13 @@ class InvalidPower(ValueError):
 
 
 class NonDiagonalAction(ValueError):
-    """A group-like generator does not act diagonally on the given basis."""
+    """A group-like generator does not act diagonally by the carried
+    weights.  witness, when known, names the basis index t with the
+    generator's column t as lhs and {t: expected character} as rhs."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass
@@ -134,9 +143,6 @@ class Representation:
     def generator_names(self):
         return _generator_names(self.n)
 
-    def gen(self, name):
-        return self.gens[name]
-
     def e(self, i):
         return self.gens[f"e{i}"]
 
@@ -168,111 +174,72 @@ class Representation:
 
 
 def natural_rep(n, field):
-    """The natural n-dimensional module V: e_i, f_i are matrix units and
-    w_i = diag(..., r, s, ...), w_i' = diag(..., s, r, ...) at slots i, i+1."""
+    """The natural n-dimensional module V, the first tensor power: e_i, f_i
+    are matrix units, w_i = diag(..., r, s, ...) and w_i' = diag(..., s,
+    r, ...) at slots i, i+1, and v_t has weight eps_t."""
+    return tensor_power_rep(n, 1, field)
+
+
+def tensor_power_rep(n, k, field):
+    """k-th tensor power of the natural module under the coproduct action.
+
+    Column t of every generator is tensor_action on the t-th tuple in
+    lexicographic order, and basis vector t carries that tuple's content.
+    """
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
-    one, r, s = field.one, field.r, field.s
-    rinv, sinv = r**-1, s**-1
-    gens = {}
-    for i in range(1, n):
-        gens[f"e{i}"] = Matrix(n, n, {(i, i + 1): one}, _clean=True)
-        gens[f"f{i}"] = Matrix(n, n, {(i + 1, i): one}, _clean=True)
-        dw = [one] * n
-        dw[i - 1], dw[i] = r, s
-        dwp = [one] * n
-        dwp[i - 1], dwp[i] = s, r
-        dwi = [one] * n
-        dwi[i - 1], dwi[i] = rinv, sinv
-        dwpi = [one] * n
-        dwpi[i - 1], dwpi[i] = sinv, rinv
-        gens[f"w{i}"] = Matrix.diagonal(dw)
-        gens[f"wp{i}"] = Matrix.diagonal(dwp)
-        gens[f"w{i}_inv"] = Matrix.diagonal(dwi)
-        gens[f"wp{i}_inv"] = Matrix.diagonal(dwpi)
-    return Representation(n, n, gens, field,
-                          [Weight.eps(t, n) for t in range(1, n + 1)])
-
-
-def tensor_power_rep(base, k):
-    """k-th tensor power of a representation under the coproduct action."""
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
-    fld = base.field
-    n, d = base.n, base.dim
-    ids = [Matrix.identity(d**m, fld.one) for m in range(k)]
+    tuples = list(product(range(1, n + 1), repeat=k))
+    dim = len(tuples)
     gens = {}
-    for i in range(1, n):
-        E, F = base.e(i), base.f(i)
-        W, Wp = base.w(i), base.wp(i)
-        Winv, Wpinv = base.w_inv(i), base.wp_inv(i)
-        wpow = [ids[0]]
-        wppow = [ids[0]]
-        winvp = [ids[0]]
-        wpinvp = [ids[0]]
-        for _ in range(k - 1):
-            wpow.append(wpow[-1].kron(W))
-            wppow.append(wppow[-1].kron(Wp))
-        for _ in range(k):
-            winvp.append(winvp[-1].kron(Winv))
-            wpinvp.append(wpinvp[-1].kron(Wpinv))
-        emat = Matrix.zero(d**k, d**k)
-        fmat = Matrix.zero(d**k, d**k)
-        for j in range(1, k + 1):
-            emat = emat + wpow[j - 1].kron(E).kron(ids[k - j])
-            fmat = fmat + ids[j - 1].kron(F).kron(wppow[k - j])
-        gens[f"e{i}"] = emat
-        gens[f"f{i}"] = fmat
-        gens[f"w{i}"] = wpow[-1].kron(W)
-        gens[f"wp{i}"] = wppow[-1].kron(Wp)
-        gens[f"w{i}_inv"] = winvp[k]
-        gens[f"wp{i}_inv"] = wpinvp[k]
-    # the weight of a tensor monomial is the sum over its factors
-    weights = base.weights
-    for _ in range(k - 1):
-        weights = [a + b for a in weights for b in base.weights]
-    return Representation(n, d**k, gens, fld, weights)
-
-
-def omega_eigenvalue(field, i, t, primed=False):
-    """Eigenvalue of w_i (or w_i') on the natural basis vector v_t."""
-    if t == i:
-        return field.s if primed else field.r
-    if t == i + 1:
-        return field.r if primed else field.s
-    return field.one
+    for name in _generator_names(n):
+        ent = {}
+        for col, tup in enumerate(tuples, 1):
+            for img, c in tensor_action(field, n, name, tup).items():
+                ent[(tensor_index(img, n), col)] = c
+        gens[name] = Matrix(dim, dim, ent, _clean=True)
+    return Representation(n, dim, gens, field,
+                          [_content(tup, n) for tup in tuples])
 
 
 def tensor_action(field, n, name, tup):
-    """Action of a generator on one monomial v_{t1} x ... x v_{tk}.
+    """Action of a generator on one monomial v_{t1} x ... x v_{tk}, as a
+    dict tuple -> coefficient.
 
-    Returns a dict tuple -> coefficient.  Agrees with the matrices built
-    by tensor_power_rep (tested), but needs no matrix on large powers.
+    With a, b the numbers of factors equal to i, i+1: w_i acts by r^a s^b,
+    w_i' by r^b s^a, and the inverses negate both exponents.  e_i turns
+    each factor v_{i+1} into v_i with coefficient r^a s^b, counted over
+    the factors before it; f_i turns each factor v_i into v_{i+1} with
+    coefficient r^b s^a, counted over the factors after it.
     """
     fam, i, inv = _parse_gen(name)
+    rs_power = field.rs_power
     if fam in ("w", "wp"):
-        primed = fam == "wp"
-        coeff = field.one
-        for t in tup:
-            coeff = coeff * omega_eigenvalue(field, i, t, primed)
+        a, b = tup.count(i), tup.count(i + 1)
+        if fam == "wp":
+            a, b = b, a
         if inv:
-            coeff = coeff**-1
-        return {tup: coeff}
+            a, b = -a, -b
+        return {tup: rs_power(a, b)}
     out = {}
+    a = b = 0
     if fam == "e":
-        pref = field.one
         for pos, t in enumerate(tup):
             if t == i + 1:
-                out[tup[:pos] + (i,) + tup[pos + 1:]] = pref
-            pref = pref * omega_eigenvalue(field, i, t)
+                out[tup[:pos] + (i,) + tup[pos + 1:]] = rs_power(a, b)
+                b += 1
+            elif t == i:
+                a += 1
         return out
     if fam == "f":
-        suf = field.one
         for pos in range(len(tup) - 1, -1, -1):
             t = tup[pos]
             if t == i:
-                out[tup[:pos] + (i + 1,) + tup[pos + 1:]] = suf
-            suf = suf * omega_eigenvalue(field, i, t, primed=True)
+                out[tup[:pos] + (i + 1,) + tup[pos + 1:]] = rs_power(b, a)
+                a += 1
+            elif t == i + 1:
+                b += 1
         return out
     raise ValueError(f"unknown generator {name!r}")
 
@@ -375,40 +342,44 @@ class Weight:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class WeightChar:
-    """Character values (lambda-hat(w_i), lambda-hat(w_i')) for i = 1..n-1."""
-
-    pairs: tuple
+def _content(tup, n):
+    """Weight of v_{t1} x ... x v_{tk}: eps_{t1} + ... + eps_{tk}."""
+    return Weight(tuple(tup.count(t) for t in range(1, n + 1)))
 
 
 def weight_char(lam, n, field):
-    """lambda-hat(w_i) = r^<eps_i, lam> s^<eps_{i+1}, lam>, and the primed
+    """The pairs (lambda-hat(w_i), lambda-hat(w_i')) for i = 1..n-1, where
+    lambda-hat(w_i) = r^<eps_i, lam> s^<eps_{i+1}, lam> and the primed
     character swaps the roles of r and s."""
     pairs = []
     for i in range(1, n):
         a, b = lam.inner_eps(i), lam.inner_eps(i + 1)
         pairs.append((field.rs_power(a, b), field.rs_power(b, a)))
-    return WeightChar(tuple(pairs))
+    return tuple(pairs)
 
 
 def _verified_weights(rep):
     """rep.weights, after checking that every w_i, w_i' acts diagonally on
     basis vector t by the character of weights[t]."""
-    chars = {w: weight_char(w, rep.n, rep.field).pairs
-             for w in set(rep.weights)}
+    chars = {w: weight_char(w, rep.n, rep.field) for w in set(rep.weights)}
     for i in range(1, rep.n):
         for primed, name in ((0, f"w{i}"), (1, f"wp{i}")):
             ent = rep.gens[name].entries
-            for t, w in enumerate(rep.weights, 1):
-                if ent.get((t, t)) != chars[w][i - 1][primed]:
-                    raise NonDiagonalAction(
-                        f"{name} does not act on basis vector {t} by the "
-                        f"character of its weight {w}")
-            if len(ent) != rep.dim:
-                a, b = next(key for key in ent if key[0] != key[1])
-                raise NonDiagonalAction(
-                    f"{name} has an off-diagonal entry at ({a}, {b})")
+            t = next((t for t, w in enumerate(rep.weights, 1)
+                      if ent.get((t, t)) != chars[w][i - 1][primed]), None)
+            if t is not None:
+                msg = (f"{name} does not act on basis vector {t} by the "
+                       f"character of its weight {rep.weights[t - 1]}")
+            elif len(ent) != rep.dim:
+                a, t = next(key for key in ent if key[0] != key[1])
+                msg = f"{name} has an off-diagonal entry at ({a}, {t})"
+            else:
+                continue
+            want = chars[rep.weights[t - 1]][i - 1][primed]
+            raise NonDiagonalAction(msg, {
+                "witness_basis_index": t,
+                "lhs": {a: v for (a, b), v in ent.items() if b == t},
+                "rhs": {t: want}})
     return rep.weights
 
 

@@ -24,8 +24,8 @@ from .linalg import (Matrix, Subspace, _Echelon, kernel_image_rank,
                      quotient_data, tensor_index, tensor_tuple)
 from .rmatrix import build_r_z
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
-                   NonDiagonalAction, Representation, Weight, _generator_names,
-                   check_defining_relations, natural_rep, tensor_action,
+                   NonDiagonalAction, Representation, Weight, _content,
+                   _generator_names, check_defining_relations, tensor_action,
                    tensor_power_rep, weight_char, weight_spaces)
 
 
@@ -136,11 +136,6 @@ def _straighten(n, k, field, qd, labels, tup):
     return {labels[i - 1]: c for i, c in sorted(out.items())}
 
 
-def _label_weight(lab, n):
-    """Content of an index tuple: eps_{t1} + ... + eps_{tk}."""
-    return Weight(tuple(lab.count(t) for t in range(1, n + 1)))
-
-
 def _apply_gen(field, n, k, name, vec):
     """Generator action on an ambient coordinate vector, monomial by
     monomial, without materializing the tensor power matrices."""
@@ -182,8 +177,7 @@ class QuotientModule:
         """Tensor power representation the quotient was carved from
         (built on first use; large powers never need it)."""
         if self._ambient is None:
-            self._ambient = tensor_power_rep(natural_rep(self.n, self.field),
-                                             self.k)
+            self._ambient = tensor_power_rep(self.n, self.k, self.field)
         return self._ambient
 
     def straighten(self, tup):
@@ -238,7 +232,7 @@ def build_wedge_module(n, k, field):
                 ent[(i, col)] = v
         gens[name] = Matrix(d, d, ent, _clean=True)
     induced = Representation(n, d, gens, field,
-                             [_label_weight(lab, n) for lab in labels])
+                             [_content(lab, n) for lab in labels])
     report = check_defining_relations(induced)
     if not report.ok:
         bad = ", ".join(c.name for c in report.failures())
@@ -279,23 +273,24 @@ def verify_fundamental(n, k, field, module=None):
                                 ind.e(i).apply(hv) == {}))
     wc = weight_char(Weight.fundamental(k, n), n, field)
     for i in range(1, n):
-        cw, cwp = wc.pairs[i - 1]
+        cw, cwp = wc[i - 1]
         ok_w = ind.w(i).apply(hv) == {t: cw * c for t, c in hv.items()}
         ok_wp = ind.wp(i).apply(hv) == {t: cwp * c for t, c in hv.items()}
         checks.append(CheckItem("highest weight matches fundamental", (i,),
                                 ok_w and ok_wp))
-    expected = {_label_weight(lab, n)
+    expected = {_content(lab, n)
                 for lab in combinations(range(1, n + 1), k)}
+    witness = None
     try:
         spaces = weight_spaces(ind)
-    except NonDiagonalAction:
+    except NonDiagonalAction as exc:
         # the carried weights do not match the w, w' action: a failed
         # check, not an invalid configuration
-        spaces = {}
+        spaces, witness = {}, exc.witness
     mult_one = all(sp.dim == 1 for sp in spaces.values())
     checks.append(CheckItem("weights are the k-subsets", (n, k),
                             set(spaces) == expected and mult_one
-                            and len(spaces) == want))
+                            and len(spaces) == want, witness))
     ech = _Echelon()
     ech.insert(hv)
     frontier = [hv]

@@ -90,3 +90,40 @@ def random_ratfunc(rng):
     while not den:
         den = random_bipoly(rng)
     return RatFunc(num, den)
+
+
+def kron_tensor_power(n, k, field):
+    """Generator matrices of the coproduct action on V^{x k}, as chains of
+    Kronecker products of the natural module's matrices:
+        e_i |-> sum_j w_i^(j-1 factors) x e_i x 1...,
+        f_i |-> sum_j 1... x f_i x w_i'^(k-j factors),
+    and w_i, w_i' (and their inverses) as k-fold Kronecker powers.  An
+    independent reference for rsqg.tensor_power_rep."""
+    one, r, s = field.one, field.r, field.s
+
+    def diag(i, a, b):
+        vals = [one] * n
+        vals[i - 1], vals[i] = a, b
+        return Matrix.diagonal(vals)
+
+    ids = [Matrix.identity(n**m, one) for m in range(k)]
+    gens = {}
+    for i in range(1, n):
+        E = Matrix(n, n, {(i, i + 1): one})
+        F = Matrix(n, n, {(i + 1, i): one})
+        group_likes = {f"w{i}": diag(i, r, s), f"wp{i}": diag(i, s, r),
+                       f"w{i}_inv": diag(i, r**-1, s**-1),
+                       f"wp{i}_inv": diag(i, s**-1, r**-1)}
+        powers = {}
+        for name, mat in group_likes.items():
+            powers[name] = [ids[0]]
+            for _ in range(k):
+                powers[name].append(powers[name][-1].kron(mat))
+            gens[name] = powers[name][k]
+        emat = fmat = Matrix.zero(n**k, n**k)
+        for j in range(1, k + 1):
+            emat = emat + powers[f"w{i}"][j - 1].kron(E).kron(ids[k - j])
+            fmat = fmat + ids[j - 1].kron(F).kron(powers[f"wp{i}"][k - j])
+        gens[f"e{i}"] = emat
+        gens[f"f{i}"] = fmat
+    return gens

@@ -150,6 +150,16 @@ def test_wedge_verify_out_of_range_exits_2(capsys):
     assert "1 <= k <= n" in err
 
 
+@pytest.mark.parametrize("argv", [("weights", "-n", "3", "-k", "0"),
+                                  ("weights", "-n", "3", "-k", "-2"),
+                                  ("rep", "check", "-n", "3", "-k", "0"),
+                                  ("rep", "tensor", "-n", "3", "-k", "0")])
+def test_tensor_power_below_one_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "tensor power k must be at least 1" in err
+
+
 def test_weights_output(capsys):
     code, out, _ = run_cli(capsys, "weights", "-n", "2", "-k", "2")
     assert code == 0

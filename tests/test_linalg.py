@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from rsqg import (AmbientMismatch, Matrix, SampledField, SingularInput,
-                  Subspace, SymbolicField, annihilation_check, invert,
-                  kernel_image_rank, quotient_data, subspace_sum, tensor_index,
-                  tensor_tuple)
+                  Subspace, SymbolicField, invert, kernel_image_rank,
+                  quotient_data, tensor_index, tensor_tuple)
 
 from helpers import dense_mul, dense_rank, from_dense, random_sparse, to_dense
 
@@ -158,26 +157,6 @@ def test_invert_roundtrip_and_errors():
         invert(Matrix(2, 2, {(1, 1): Fraction(1), (2, 1): Fraction(1)}), smp)
     with pytest.raises(SingularInput):
         invert(Matrix.zero(2, 3), smp)
-
-
-def test_annihilation_check():
-    m = Matrix.diagonal([Fraction(1), Fraction(2), Fraction(2)])
-    assert annihilation_check(m, [Fraction(1), Fraction(2)], smp)
-    assert not annihilation_check(m, [Fraction(1)], smp)
-    assert not annihilation_check(m, [Fraction(2)], smp)
-    with pytest.raises(ValueError):
-        annihilation_check(Matrix.zero(2, 3), [], smp)
-
-
-def test_subspace_sum():
-    a = Subspace.from_vectors(3, [{1: Fraction(1)}])
-    b = Subspace.from_vectors(3, [{2: Fraction(1)}])
-    assert subspace_sum([a, b]).dim == 2
-    assert subspace_sum([a, a]) == a
-    with pytest.raises(AmbientMismatch):
-        subspace_sum([a, Subspace.from_vectors(2, [{1: Fraction(1)}])])
-    with pytest.raises(ValueError):
-        subspace_sum([])
 
 
 def test_quotient_data_representatives():

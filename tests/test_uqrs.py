@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import rsqg.uqrs as uqrs_mod
 from rsqg import (InvalidPower, InvalidRank, Matrix, NonDiagonalAction,
                   Representation, SampledField, SymbolicField, Weight,
                   check_defining_relations, highest_weight_vectors,
-                  hopf_antipode_check, natural_rep, tensor_action,
-                  tensor_index, tensor_power_rep, tensor_tuple, weight_char,
-                  weight_spaces)
+                  hopf_antipode_check, natural_rep, tensor_index,
+                  tensor_power_rep, weight_char, weight_spaces)
+
+from helpers import kron_tensor_power
 
 sym = SymbolicField()
 smp = SampledField(2, 3)
@@ -73,14 +75,16 @@ def test_relation_failure_witness():
 
 def test_tensor_power_rep_k1_is_base():
     rep = natural_rep(3, smp)
-    pow1 = tensor_power_rep(rep, 1)
+    pow1 = tensor_power_rep(3, 1, smp)
     assert pow1.gens == rep.gens
     with pytest.raises(InvalidPower):
-        tensor_power_rep(rep, 0)
+        tensor_power_rep(3, 0, smp)
+    with pytest.raises(InvalidRank):
+        tensor_power_rep(1, 2, smp)
 
 
 def test_tensor_power_coproduct_action_n2():
-    rep2 = tensor_power_rep(natural_rep(2, sym), 2)
+    rep2 = tensor_power_rep(2, 2, sym)
     one, r, s = sym.one, sym.r, sym.s
     # e1 (v2 x v2) = v1 x v2 + s v2 x v1
     assert rep2.e(1).col(tensor_index((2, 2), 2)) == {
@@ -95,20 +99,35 @@ def test_tensor_power_coproduct_action_n2():
 
 def test_tensor_power_satisfies_relations():
     for n, k in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        rep = tensor_power_rep(natural_rep(n, sym), k)
+        rep = tensor_power_rep(n, k, sym)
         assert check_defining_relations(rep).ok
 
 
+_KRON_CASES = ((2, 2, sym), (2, 3, sym), (3, 2, sym), (3, 3, sym),
+               (4, 3, SampledField(4, 2)))
+
+
 def test_tensor_action_matches_matrices():
-    for n, k in ((2, 2), (2, 3), (3, 2)):
-        rep = tensor_power_rep(natural_rep(n, sym), k)
-        for name in rep.generator_names():
-            mat = rep.gens[name]
-            for col in range(1, n**k + 1):
-                tup = tensor_tuple(col, n, k)
-                out = tensor_action(sym, n, name, tup)
-                expected = {tensor_index(t, n): c for t, c in out.items()}
-                assert mat.col(col) == expected, (name, tup)
+    # every column of tensor_power_rep is tensor_action on one monomial;
+    # the Kronecker chains of the coproduct are an independent reference
+    for n, k, field in _KRON_CASES:
+        rep = tensor_power_rep(n, k, field)
+        assert rep.gens == kron_tensor_power(n, k, field), (n, k, field)
+
+
+def test_tensor_action_without_e_prefix_is_caught(monkeypatch):
+    real = uqrs_mod.tensor_action
+
+    def no_prefix(field, n, name, tup):
+        out = real(field, n, name, tup)
+        if name.startswith("e"):
+            return {img: field.one for img in out}
+        return out
+
+    monkeypatch.setattr(uqrs_mod, "tensor_action", no_prefix)
+    for n, k, field in _KRON_CASES:
+        rep = tensor_power_rep(n, k, field)
+        assert rep.gens != kron_tensor_power(n, k, field), (n, k, field)
 
 
 def test_weight_constructors():
@@ -121,25 +140,25 @@ def test_weight_constructors():
 
 def test_weight_char_values():
     wc = weight_char(Weight.eps(1, 2), 2, sym)
-    assert wc.pairs == (((sym.r), (sym.s)),)
+    assert wc == (((sym.r), (sym.s)),)
     zero = weight_char(Weight.zero(3), 3, sym)
-    assert all(p == (sym.one, sym.one) for p in zero.pairs)
+    assert all(p == (sym.one, sym.one) for p in zero)
     # fundamental weight pattern: rs below k, r at k, 1 above
     n, k = 4, 2
     wc = weight_char(Weight.fundamental(k, n), n, sym)
-    assert wc.pairs[0][0] == sym.r * sym.s
-    assert wc.pairs[1][0] == sym.r
-    assert wc.pairs[2][0] == sym.one
-    assert wc.pairs[0][1] == sym.r * sym.s
-    assert wc.pairs[1][1] == sym.s
-    assert wc.pairs[2][1] == sym.one
+    assert wc[0][0] == sym.r * sym.s
+    assert wc[1][0] == sym.r
+    assert wc[2][0] == sym.one
+    assert wc[0][1] == sym.r * sym.s
+    assert wc[1][1] == sym.s
+    assert wc[2][1] == sym.one
 
 
 def test_weight_spaces_natural_and_square():
     spaces = weight_spaces(natural_rep(2, smp))
     assert set(spaces) == {Weight.eps(1, 2), Weight.eps(2, 2)}
     assert all(sp.dim == 1 for sp in spaces.values())
-    rep2 = tensor_power_rep(natural_rep(2, smp), 2)
+    rep2 = tensor_power_rep(2, 2, smp)
     spaces = weight_spaces(rep2)
     dims = {w.coords: sp.dim for w, sp in spaces.items()}
     assert dims == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
@@ -148,8 +167,8 @@ def test_weight_spaces_natural_and_square():
 
 def test_weight_spaces_sampled_and_symbolic_agree():
     for n, k in ((2, 2), (3, 2)):
-        a = weight_spaces(tensor_power_rep(natural_rep(n, sym), k))
-        b = weight_spaces(tensor_power_rep(natural_rep(n, smp), k))
+        a = weight_spaces(tensor_power_rep(n, k, sym))
+        b = weight_spaces(tensor_power_rep(n, k, smp))
         assert {w.coords for w in a} == {w.coords for w in b}
 
 
@@ -163,8 +182,12 @@ def test_weight_spaces_rejects_non_diagonal():
     # the right diagonal plus one off-diagonal entry
     gens["w1"] = rep.w(1) + Matrix(2, 2, {(1, 2): sym.one})
     broken = Representation(2, 2, gens, sym, rep.weights)
-    with pytest.raises(NonDiagonalAction, match=r"w1 .* \(1, 2\)"):
+    with pytest.raises(NonDiagonalAction, match=r"w1 .* \(1, 2\)") as exc:
         weight_spaces(broken)
+    # column 2 of w1 against the character s of the weight eps_2
+    assert exc.value.witness == {"witness_basis_index": 2,
+                                 "lhs": {1: sym.one, 2: sym.s},
+                                 "rhs": {2: sym.s}}
 
 
 def test_weight_spaces_verifies_the_carried_weights():
@@ -175,7 +198,7 @@ def test_weight_spaces_verifies_the_carried_weights():
     with pytest.raises(NonDiagonalAction, match=r"w1 .* basis vector 1 "):
         weight_spaces(Representation(2, 2, gens, sym, rep.weights))
     # w1' rescaled at one basis vector of the tensor square
-    rep2 = tensor_power_rep(natural_rep(2, smp), 2)
+    rep2 = tensor_power_rep(2, 2, smp)
     ent = dict(rep2.wp(1).entries)
     ent[(3, 3)] *= 5
     gens = dict(rep2.gens, wp1=Matrix(4, 4, ent))
@@ -194,7 +217,7 @@ def test_highest_weight_vectors_natural():
 
 
 def test_highest_weight_vectors_tensor_square():
-    rep2 = tensor_power_rep(natural_rep(2, sym), 2)
+    rep2 = tensor_power_rep(2, 2, sym)
     hw = highest_weight_vectors(rep2)
     assert len(hw) == 2
     by_weight = {w.coords: vec for vec, w in hw}

@@ -5,10 +5,10 @@ from itertools import permutations
 import pytest
 
 import rsqg.wedge as wedge_mod
-from rsqg import (InvalidPower, InvalidRank, SampledField, SymbolicField,
-                  Weight, WellDefinednessFailure, alt2, build_wedge_module,
-                  highest_weight_vectors, natural_rep, spectral_projector_check,
-                  straighten, subspace_sum, sym2, tensor_index,
+from rsqg import (InvalidPower, InvalidRank, SampledField, Subspace,
+                  SymbolicField, Weight, WellDefinednessFailure, alt2,
+                  build_wedge_module, highest_weight_vectors, natural_rep,
+                  spectral_projector_check, straighten, sym2, tensor_index,
                   verify_fundamental, wedge_dimension, weight_spaces)
 
 from helpers import dense_rank
@@ -28,7 +28,8 @@ def test_sym2_alt2_dimensions_and_sum():
         a2 = alt2(n, smp)
         assert s2.dim == n * (n + 1) // 2
         assert a2.dim == n * (n - 1) // 2
-        assert subspace_sum([s2, a2]).dim == n * n
+        both = Subspace.from_vectors(n * n, s2.basis + a2.basis)
+        assert both.dim == n * n
 
 
 def test_sym2_alt2_explicit_n2():
@@ -216,6 +217,12 @@ def test_verify_fundamental_fails_on_a_wrong_weight_action():
     report = verify_fundamental(3, 2, smp, module=mod)
     failed = {c.name for c in report.failures()}
     assert "weights are the k-subsets" in failed
+    # the row names where: w1 on wedge basis vector 1 (v1 ^ v2, weight
+    # eps_1 + eps_2) should act by r s but acts by r^2 s
+    row = next(r for r in report.to_json(smp)
+               if r["relation"] == "weights are the k-subsets")
+    assert row["witness_basis_index"] == 1
+    assert row["lhs"] == {"1": "12"} and row["rhs"] == {"1": "6"}
 
 
 def test_verify_fundamental_bounds():

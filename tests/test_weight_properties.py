@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from rsqg import (SampledField, genericity_check, natural_rep,
-                  tensor_power_rep, verify_fundamental, weight_spaces)
+from rsqg import (SampledField, genericity_check, tensor_power_rep,
+                  verify_fundamental, weight_spaces)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -20,7 +20,7 @@ _admissible = st.tuples(_small, _small).filter(
 @hypothesis.given(_admissible, st.integers(2, 3), st.integers(1, 3))
 def test_weights_at_admissible_pairs(pair, n, k):
     field = SampledField(*pair)
-    spaces = weight_spaces(tensor_power_rep(natural_rep(n, field), k))
+    spaces = weight_spaces(tensor_power_rep(n, k, field))
     assert len(spaces) == math.comb(n + k - 1, k)
     for w, sp in spaces.items():
         assert sp.dim == math.factorial(k) // math.prod(
