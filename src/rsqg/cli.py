@@ -87,7 +87,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("what", choices=("ybe", "braid", "minpoly", "morphism",
                                     "hopf", "jimbo", "prop41"))
-    _add_common(p, with_k=True, k_default=2)
+    _add_common(p, with_k=True)  # only morphism takes -k; see _cmd_verify
 
     p = sub.add_parser("wedge", help="build or verify a wedge module")
     p.add_argument("action", nargs="?", choices=("verify",), default=None)
@@ -125,6 +125,11 @@ def _cmd_rmatrix(args, field, mode):
 
 def _cmd_verify(args, field, mode):
     what = args.what
+    if what != "morphism" and args.k is not None:
+        raise ValueError(f"verify {what} takes no -k; only verify morphism "
+                         "has a tensor power")
+    if args.k is None:
+        args.k = 2  # the morphism check's default tensor power
     if what == "hopf":
         report = hopf_antipode_check(natural_rep(args.n, field))
         _emit(_report_json("hopf", args, mode, field, report), args.o)

@@ -3,21 +3,16 @@
 Matrices are 1-based sparse dicts (i, j) -> nonzero scalar and act on
 column vectors (dicts index -> scalar).  Echelon forms use trailing
 pivots: the pivot of a row is its largest-index nonzero entry, and the
-reduced form is the unique reduced echelon basis for that convention.
-This choice is load-bearing for quotients: the surviving coset
-representatives are then the lexicographically smallest coordinates,
-which for tensor bases are the strictly increasing index tuples.
+reduced form is the unique reduced echelon basis for that convention, so
+equal subspaces have equal bases.
 
 All elimination runs through one kernel, _Echelon: subspace spans and
-membership, kernel/image/rank, the inverse, and (in rsqg.wedge) the
-wedge dimension.
+membership, kernel/image/rank and the inverse.  Quotients need none:
+QuotientData only holds coset representatives and a projection, which
+rsqg.wedge builds directly from its gain graph.
 """
 
 from __future__ import annotations
-
-
-class AmbientMismatch(ValueError):
-    """Subspaces of different ambient dimensions were combined."""
 
 
 class SingularInput(ValueError):
@@ -283,10 +278,6 @@ class Subspace:
         pivots = sorted(ech.rows)
         return cls(ambient_dim, [ech.rows[p] for p in pivots], pivots)
 
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim, [], [])
-
     @property
     def dim(self):
         return len(self.basis)
@@ -295,11 +286,6 @@ class Subspace:
         if self._ech is None:
             self._ech = _Echelon(dict(zip(self.pivots, self.basis)))
         return self._ech.reduce(dict(vec)) is None
-
-    def contains(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(self.contains_vector(v) for v in other.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -366,39 +352,17 @@ def invert(mat, field):
 
 
 class QuotientData:
-    """Quotient of the ambient space by sub, with explicit coset data.
+    """Coset data of a quotient of an ambient space: rep_indices are the
+    ambient coordinates kept as representatives, in increasing order, and
+    projection is the matrix from the ambient space onto them that kills
+    the subspace and is the identity on representative coordinates."""
 
-    rep_indices are the non-pivot coordinates of sub in increasing order;
-    projection is the (len(rep_indices) x ambient_dim) matrix that kills
-    sub and restricts to the identity on representative coordinates.
-    """
+    __slots__ = ("rep_indices", "projection")
 
-    __slots__ = ("ambient_dim", "sub", "rep_indices", "projection")
-
-    def __init__(self, ambient_dim, sub, rep_indices, projection):
-        self.ambient_dim = ambient_dim
-        self.sub = sub
+    def __init__(self, rep_indices, projection):
         self.rep_indices = rep_indices
         self.projection = projection
 
     def project_vector(self, vec):
         """Image of an ambient vector in representative coordinates."""
         return self.projection.apply(vec)
-
-
-def quotient_data(sub, field):
-    """Coset representatives and projection for ambient/sub."""
-    ambient = sub.ambient_dim
-    pivset = set(sub.pivots)
-    reps = [t for t in range(1, ambient + 1) if t not in pivset]
-    pos = {t: i for i, t in enumerate(reps, 1)}
-    ent = {}
-    for t in reps:
-        ent[(pos[t], t)] = field.one
-    for p, row in zip(sub.pivots, sub.basis):
-        for t, v in row.items():
-            if t != p:
-                # fully reduced rows only touch representative coordinates
-                ent[(pos[t], p)] = -v
-    proj = Matrix(len(reps), ambient, ent, _clean=True)
-    return QuotientData(ambient, sub, tuple(reps), proj)

@@ -350,10 +350,6 @@ class BiPoly:
             out = out * self
         return out
 
-    def leading(self):
-        m = max(self.terms, key=_gl_key)
-        return m, self.terms[m]
-
     def evaluate(self, r0, s0):
         out = _F0
         for (a, b), c in self.terms.items():

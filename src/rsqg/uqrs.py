@@ -320,14 +320,6 @@ class Weight:
     coords: tuple
 
     @classmethod
-    def zero(cls, n):
-        return cls((0,) * n)
-
-    @classmethod
-    def eps(cls, j, n):
-        return cls(tuple(1 if t == j else 0 for t in range(1, n + 1)))
-
-    @classmethod
     def fundamental(cls, k, n):
         # eps_1 + ... + eps_k
         return cls(tuple(1 if t <= k else 0 for t in range(1, n + 1)))

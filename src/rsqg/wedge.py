@@ -5,14 +5,17 @@ v_i x v_i and v_i x v_j + s v_j x v_i (i < j), and the (r,s)-exterior
 square spanned by v_i x v_j - r v_j x v_i; both are cut out by the
 spectral R-matrix at the special points r s^{-1} and r^{-1} s.  The k-th
 wedge module is the quotient of V^{x k} by the sum of all identity-padded
-insertions of S2.  Coset representatives are taken at the non-pivot
-coordinates of the trailing-pivot echelon form, which are exactly the
-strictly increasing index tuples, so the quotient basis is the familiar
-v_{i1} ^ ... ^ v_{ik} with i1 < ... < ik and dimension C(n, k).
+insertions of S2.
 
-Every relation vector has at most two nonzero coordinates, and trailing-
-pivot elimination preserves that sparsity, so ranks stay cheap even when
-the ambient dimension n^k is large.
+Every relation vector has one or two nonzero coordinates, so the relation
+span is a gain graph on the n^k tensor indices (Zaslavsky, "Biased graphs
+I", 1989), and one union-find pass over the relations builds the quotient
+without elimination.  The coset representatives are the smallest indices
+of the live components, which are exactly the strictly increasing index
+tuples, so the quotient basis is the familiar v_{i1} ^ ... ^ v_{ik} with
+i1 < ... < ik and dimension C(n, k).  The gain from a tuple to its
+representative is its straightening coefficient; it is a field value, so
+a special sampled point cannot change a verdict unseen.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .linalg import (Matrix, Subspace, _Echelon, kernel_image_rank,
-                     quotient_data, tensor_index, tensor_tuple)
+from .linalg import (Matrix, QuotientData, Subspace, _Echelon,
+                     kernel_image_rank, tensor_index, tensor_tuple)
 from .rmatrix import build_r_z
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    NonDiagonalAction, Representation, Weight, _content,
                    _generator_names, check_defining_relations, tensor_action,
-                   tensor_power_rep, weight_char, weight_spaces)
+                   weight_char, weight_spaces)
 
 
 class WellDefinednessFailure(AssertionError):
@@ -96,34 +99,72 @@ def _insertion_vectors(n, k, field):
                            for (x, y), c in spec}
 
 
-def _relation_subspace(n, k, field):
-    return Subspace.from_vectors(n**k, _insertion_vectors(n, k, field))
-
-
 def wedge_dimension(n, k, field):
-    """dim of the k-th wedge quotient, by rank of the relation span only.
-
-    Relation vectors are 2-sparse and stay 2-sparse under trailing-pivot
-    reduction, so each insertion is a short straightening walk, and no
-    back reduction is needed for a rank.  This makes n^k ambient
-    dimensions in the hundreds of thousands tractable.
-    """
+    """dim of the k-th wedge quotient: the number of live gain-graph roots."""
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 0:
         raise InvalidPower("tensor power k must be nonnegative")
-    # for k < 2 there are no relations: dimension n^k
-    ech = _Echelon()
-    for vec in _insertion_vectors(n, k, field):
-        ech.insert(vec)
-    return n**k - ech.rank
+    return len(_wedge_quotient(n, k, field)[1])
 
 
 def _wedge_quotient(n, k, field):
-    """Relation subspace, quotient data and wedge labels of V^{x k}."""
-    sub = _relation_subspace(n, k, field)
-    qd = quotient_data(sub, field)
-    return sub, qd, [tensor_tuple(t, n, k) for t in qd.rep_indices]
+    """Quotient data and wedge labels of V^{x k}, in one gain-graph pass.
+
+    Union-find over the tensor indices: parent[t] and gain[t] record
+    x_t = gain[t] x_parent[t] modulo the relations, and every live root is
+    the smallest index of its component.  A one-entry relation kills its
+    component; a two-entry relation links two live roots under the smaller
+    one, or closes a cycle, which kills its component unless its gain is 1.
+    The live roots are the coset representatives, and column t of the
+    projection is gain[t] at the row of t's root.
+    """
+    size = n**k
+    parent = list(range(size + 1))
+    gain = [field.one] * (size + 1)
+    dead = bytearray(size + 1)
+
+    def find(t):
+        # path compression; afterwards gain[t] is relative to the root
+        path = []
+        while parent[t] != t:
+            path.append(t)
+            t = parent[t]
+        for u in reversed(path[:-1]):
+            gain[u] *= gain[parent[u]]
+            parent[u] = t
+        return t
+
+    for vec in _insertion_vectors(n, k, field):
+        if len(vec) == 1:
+            (a,) = vec
+            dead[find(a)] = 1
+            continue
+        (a, ca), (b, cb) = vec.items()
+        ra, rb = find(a), find(b)
+        if dead[ra] or dead[rb]:
+            # touching a dead component kills the other one too; gains
+            # inside dead components are never read, so no link is needed
+            dead[ra] = dead[rb] = 1
+            continue
+        # ca x_a + cb x_b = 0 becomes ca x_ra + cb x_rb = 0
+        ca *= gain[a]
+        cb *= gain[b]
+        if ra == rb:
+            # a cycle: x_r = (-ca / cb) x_r, and a gain other than 1 kills
+            if ca + cb:
+                dead[ra] = 1
+        elif ra < rb:
+            parent[rb], gain[rb] = ra, -ca / cb
+        else:
+            parent[ra], gain[ra] = rb, -cb / ca
+    reps = tuple(t for t in range(1, size + 1)
+                 if parent[t] == t and not dead[t])
+    pos = {t: i for i, t in enumerate(reps, 1)}
+    ent = {(pos[root], t): gain[t] for t in range(1, size + 1)
+           if (root := find(t)) in pos}
+    qd = QuotientData(reps, Matrix(len(reps), size, ent, _clean=True))
+    return qd, [tensor_tuple(t, n, k) for t in reps]
 
 
 def _straighten(n, k, field, qd, labels, tup):
@@ -136,49 +177,47 @@ def _straighten(n, k, field, qd, labels, tup):
     return {labels[i - 1]: c for i, c in sorted(out.items())}
 
 
-def _apply_gen(field, n, k, name, vec):
-    """Generator action on an ambient coordinate vector, monomial by
-    monomial, without materializing the tensor power matrices."""
-    out = {}
-    for t, c in vec.items():
-        for tup, c2 in tensor_action(field, n, name, tensor_tuple(t, n, k)).items():
-            i = tensor_index(tup, n)
-            cur = out.get(i)
-            nv = c * c2 if cur is None else cur + c * c2
-            if nv:
-                out[i] = nv
-            elif cur is not None:
-                del out[i]
-    return out
+def _induced_generator(field, n, k, qd, name):
+    """Matrix of a generator on the quotient, guarded per ambient basis
+    vector t: projection(g e_t) must equal g_hat projection(e_t)."""
+    images = [qd.project_vector(
+        {tensor_index(u, n): c
+         for u, c in tensor_action(field, n, name, tensor_tuple(t, n, k)).items()})
+        for t in range(1, n**k + 1)]
+    d = len(qd.rep_indices)
+    mat = Matrix(d, d, {(i, col): v
+                        for col, t in enumerate(qd.rep_indices, 1)
+                        for i, v in images[t - 1].items()}, _clean=True)
+    for t, img in enumerate(images, 1):
+        want = mat.apply(qd.projection.col(t))
+        if img != want:
+            lhs, rhs = ("{" + ", ".join(f"{i}: {field.format(v)}"
+                                        for i, v in sorted(vec.items())) + "}"
+                        for vec in (img, want))
+            raise WellDefinednessFailure(
+                f"{name} does not preserve the relations at (n, k) = "
+                f"({n}, {k}): at the ambient basis tuple t = "
+                f"{tensor_tuple(t, n, k)}, projection({name} e_t) = {lhs} "
+                f"but {name} projection(e_t) = {rhs}")
+    return mat
 
 
 class QuotientModule:
     """The k-th (r,s)-wedge module as an explicit quotient of V^{x k}."""
 
-    __slots__ = ("n", "k", "field", "sub", "qdata", "induced", "labels",
-                 "_ambient")
+    __slots__ = ("n", "k", "field", "qdata", "induced", "labels")
 
-    def __init__(self, n, k, field, sub, qdata, induced, labels):
+    def __init__(self, n, k, field, qdata, induced, labels):
         self.n = n
         self.k = k
         self.field = field
-        self.sub = sub
         self.qdata = qdata
         self.induced = induced
         self.labels = labels
-        self._ambient = None
 
     @property
     def dim(self):
         return self.induced.dim
-
-    @property
-    def ambient(self):
-        """Tensor power representation the quotient was carved from
-        (built on first use; large powers never need it)."""
-        if self._ambient is None:
-            self._ambient = tensor_power_rep(self.n, self.k, self.field)
-        return self._ambient
 
     def straighten(self, tup):
         """Expansion of the coset of v_{t1} x ... x v_{tk} in the wedge
@@ -203,48 +242,33 @@ class QuotientModule:
 def build_wedge_module(n, k, field):
     """Quotient of V^{x k} by all S2 insertions, with induced generators.
 
-    Verifies that every generator preserves the relation subspace
-    (WellDefinednessFailure otherwise) and that the induced matrices
-    satisfy the defining relations.  Each basis vector carries the content
-    of its label as its weight.  For k > n this is the zero module.
+    Verifies that every generator preserves the relations, one ambient
+    basis vector at a time (WellDefinednessFailure otherwise), and that the
+    induced matrices satisfy the defining relations.  Each basis vector
+    carries the content of its label as its weight.  For k > n this is the
+    zero module.
     """
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
-    sub, qd, labels = _wedge_quotient(n, k, field)
-    names = _generator_names(n)
-    for name in names:
-        for row in sub.basis:
-            # the projection's kernel is exactly the relation subspace
-            if qd.project_vector(_apply_gen(field, n, k, name, row)):
-                raise WellDefinednessFailure(
-                    f"{name} does not preserve the relation subspace "
-                    f"at (n, k) = ({n}, {k})")
-    d = len(labels)
-    gens = {}
-    for name in names:
-        ent = {}
-        for col, lab in enumerate(labels, 1):
-            amb = {tensor_index(t, n): c
-                   for t, c in tensor_action(field, n, name, lab).items()}
-            for i, v in qd.project_vector(amb).items():
-                ent[(i, col)] = v
-        gens[name] = Matrix(d, d, ent, _clean=True)
-    induced = Representation(n, d, gens, field,
+    qd, labels = _wedge_quotient(n, k, field)
+    gens = {name: _induced_generator(field, n, k, qd, name)
+            for name in _generator_names(n)}
+    induced = Representation(n, len(labels), gens, field,
                              [_content(lab, n) for lab in labels])
     report = check_defining_relations(induced)
     if not report.ok:
         bad = ", ".join(c.name for c in report.failures())
         raise WellDefinednessFailure(
             f"induced matrices at (n, k) = ({n}, {k}) violate {bad}")
-    return QuotientModule(n, k, field, sub, qd, induced, labels)
+    return QuotientModule(n, k, field, qd, induced, labels)
 
 
 def straighten(n, k, tup, field):
     """Standalone straightening of one monomial (builds the quotient data,
     so prefer QuotientModule.straighten for repeated use)."""
-    _, qd, labels = _wedge_quotient(n, k, field)
+    qd, labels = _wedge_quotient(n, k, field)
     return _straighten(n, k, field, qd, labels, tup)
 
 

@@ -102,6 +102,19 @@ def test_verify_commands_pass(capsys):
         assert data["check"] == what
 
 
+@pytest.mark.parametrize("what", ["ybe", "braid", "minpoly", "hopf", "jimbo",
+                                  "prop41"])
+def test_verify_rejects_k_except_morphism(capsys, what):
+    code, out, err = run_cli(capsys, "verify", what, "-n", "2", "-k", "-5")
+    assert (code, out) == (2, "")
+    assert f"verify {what} takes no -k" in err
+
+
+def test_verify_morphism_k_defaults_to_2(capsys):
+    assert run_cli(capsys, "verify", "morphism", "-n", "2") == \
+        run_cli(capsys, "verify", "morphism", "-n", "2", "-k", "2")
+
+
 def test_verify_minpoly_example(capsys):
     code, out, _ = run_cli(capsys, "verify", "minpoly", "-n", "3",
                            "--mode", "sampled", "--r", "2", "--s", "3")

@@ -20,6 +20,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 COMMANDS = {
     "wedge_n4_k2": "wedge -n 4 -k 2",
     "wedge_verify_n4_k3_symbolic": "wedge verify -n 4 -k 3 --symbolic",
+    "wedge_n3_k3": "wedge -n 3 -k 3",
+    "wedge_n3_k4_zero": "wedge -n 3 -k 4",
+    "wedge_n3_k2_symbolic": "wedge -n 3 -k 2 --symbolic",
+    "wedge_verify_n3_k2_r4_s2": "wedge verify -n 3 -k 2 --r 4 --s 2",
+    "wedge_n4_k3_r3_sm1": "wedge -n 4 -k 3 --r 3 --s -1",
     "rep_tensor_n2_k3_symbolic": "rep tensor -n 2 -k 3 --symbolic",
     "rep_check_n3_k1": "rep check -n 3 -k 1",
     "weights_n3_k1": "weights -n 3 -k 1",

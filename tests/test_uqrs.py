@@ -131,17 +131,16 @@ def test_tensor_action_without_e_prefix_is_caught(monkeypatch):
 
 
 def test_weight_constructors():
-    assert Weight.zero(3).coords == (0, 0, 0)
-    assert Weight.eps(2, 3).coords == (0, 1, 0)
     assert Weight.fundamental(2, 4).coords == (1, 1, 0, 0)
-    assert (Weight.eps(1, 2) + Weight.eps(2, 2)).coords == (1, 1)
+    assert Weight.fundamental(0, 3) == Weight((0, 0, 0))
+    assert (Weight((1, 0)) + Weight((0, 1))).coords == (1, 1)
     assert str(Weight((1, 0, -1))) == "(1, 0, -1)"
 
 
 def test_weight_char_values():
-    wc = weight_char(Weight.eps(1, 2), 2, sym)
+    wc = weight_char(Weight((1, 0)), 2, sym)
     assert wc == (((sym.r), (sym.s)),)
-    zero = weight_char(Weight.zero(3), 3, sym)
+    zero = weight_char(Weight((0, 0, 0)), 3, sym)
     assert all(p == (sym.one, sym.one) for p in zero)
     # fundamental weight pattern: rs below k, r at k, 1 above
     n, k = 4, 2
@@ -156,7 +155,7 @@ def test_weight_char_values():
 
 def test_weight_spaces_natural_and_square():
     spaces = weight_spaces(natural_rep(2, smp))
-    assert set(spaces) == {Weight.eps(1, 2), Weight.eps(2, 2)}
+    assert set(spaces) == {Weight((1, 0)), Weight((0, 1))}
     assert all(sp.dim == 1 for sp in spaces.values())
     rep2 = tensor_power_rep(2, 2, smp)
     spaces = weight_spaces(rep2)
@@ -213,7 +212,7 @@ def test_highest_weight_vectors_natural():
         assert len(hw) == 1
         vec, w = hw[0]
         assert vec == {1: smp.one}
-        assert w == Weight.eps(1, n)
+        assert w == Weight((1,) + (0,) * (n - 1))
 
 
 def test_highest_weight_vectors_tensor_square():
@@ -252,7 +251,7 @@ def test_representation_json_shape():
 def test_representation_shape_validation():
     with pytest.raises(ValueError):
         Representation(2, 3, {"e1": Matrix.zero(2, 2)}, smp,
-                       [Weight.zero(2)] * 3)
+                       [Weight((0, 0))] * 3)
     with pytest.raises(ValueError):
         Representation(2, 2, {"e1": Matrix.zero(2, 2)}, smp,
-                       [Weight.zero(2)] * 3)
+                       [Weight((0, 0))] * 3)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -54,13 +55,67 @@ def test_spectral_projector_identities():
         spectral_projector_check(1, sym)
 
 
-def test_wedge_dimension_against_dense_oracle():
+def test_wedge_dimension_against_dense_oracle(monkeypatch):
     # independent dense elimination over the same spanning vectors
     for n, k in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         vecs = list(wedge_mod._insertion_vectors(n, k, smp))
         rank = dense_rank(vecs, n**k)
         assert wedge_dimension(n, k, smp) == n**k - rank
         assert n**k - rank == math.comb(n, k)
+    # double the coefficient of v2 x v1 x v3 in the insertion of
+    # v1 x v2 + s v2 x v1: the cycles through (1, 2, 3) become unbalanced,
+    # so a pass that skips the cycle-balance test gives 1 and 4
+    real = wedge_mod._insertion_vectors
+
+    def corrupted(n, k, field):
+        bad = tensor_index((2, 1, 3), n)
+        for vec in real(n, k, field):
+            if vec.keys() == {tensor_index((1, 2, 3), n), bad}:
+                vec = {**vec, bad: 2 * vec[bad]}
+            yield vec
+
+    monkeypatch.setattr(wedge_mod, "_insertion_vectors", corrupted)
+    for n, want in ((3, 0), (4, 3)):
+        rank = dense_rank(list(corrupted(n, 3, smp)), n**3)
+        assert wedge_dimension(n, 3, smp) == n**3 - rank == want
+
+
+def test_gain_graph_pass_ignores_relation_order(monkeypatch):
+    # the quotient is unique once the representatives are fixed, so any
+    # order of the relations must give the same projection; shuffling
+    # also links live components to dead ones in every possible order
+    rng = random.Random(5)
+    real = wedge_mod._insertion_vectors
+    for n, k in ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3)):
+        want, _ = wedge_mod._wedge_quotient(n, k, smp)
+        vecs = list(real(n, k, smp))
+        for _ in range(3):
+            rng.shuffle(vecs)
+            with monkeypatch.context() as m:
+                m.setattr(wedge_mod, "_insertion_vectors",
+                          lambda n, k, field: iter(vecs))
+                got, _ = wedge_mod._wedge_quotient(n, k, smp)
+            assert got.rep_indices == want.rep_indices, (n, k)
+            assert got.projection == want.projection, (n, k)
+        assert len(want.rep_indices) == n**k - dense_rank(vecs, n**k)
+
+
+@pytest.mark.parametrize("field", [SampledField(2, 3), SampledField(4, 2),
+                                   SampledField(1, -3), SampledField(3, -1),
+                                   sym],
+                         ids=["2,3", "4,2", "1,-3", "3,-1", "symbolic"])
+def test_gain_graph_quotient_matches_elimination(field):
+    # the representatives are the non-pivot coordinates of the trailing-
+    # pivot echelon form of the relations, and the projection kills them
+    for n, k in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+        sub = Subspace.from_vectors(
+            n**k, wedge_mod._insertion_vectors(n, k, field))
+        qd, _ = wedge_mod._wedge_quotient(n, k, field)
+        pivots = set(sub.pivots)
+        assert list(qd.rep_indices) == [t for t in range(1, n**k + 1)
+                                        if t not in pivots], (n, k)
+        for row in sub.basis:
+            assert qd.project_vector(row) == {}, (n, k)
 
 
 def test_wedge_dimension_boundaries():
@@ -90,7 +145,8 @@ def test_build_wedge_32():
     mod = build_wedge_module(3, 2, smp)
     assert mod.dim == 3
     assert mod.labels == [(1, 2), (1, 3), (2, 3)]
-    assert mod.sub.dim == 6
+    # the projection is onto, so its kernel (the relation span) has dim 6
+    assert mod.qdata.projection.cols - len(mod.qdata.rep_indices) == 6
     # e1 (v2 ^ v3) = v1 ^ v3, e1 (v1 ^ v2) = 0
     assert mod.induced.e(1).col(3) == {2: smp.one}
     assert mod.induced.e(1).col(1) == {}
@@ -172,17 +228,6 @@ def test_straighten_linearity_via_projection():
                 assert got == {(j, i): -(smp.s**-1)}
 
 
-def test_ambient_is_lazy_tensor_power():
-    mod = build_wedge_module(3, 2, smp)
-    assert mod._ambient is None
-    amb = mod.ambient
-    assert amb.dim == 9
-    assert mod.ambient is amb
-    # relation subspace is where the quotient collapses: project kills it
-    for vec in mod.sub.basis:
-        assert mod.qdata.project_vector(vec) == {}
-
-
 def test_wedge_weight_spaces_32():
     mod = build_wedge_module(3, 2, smp)
     spaces = weight_spaces(mod.induced)
@@ -243,8 +288,10 @@ def test_well_definedness_guard_fires_on_corruption(monkeypatch):
         return real(field, n, name, tup)
 
     monkeypatch.setattr(wedge_mod, "tensor_action", corrupted)
-    with pytest.raises(WellDefinednessFailure):
+    with pytest.raises(WellDefinednessFailure) as info:
         build_wedge_module(2, 2, smp)
+    # the message names the generator and the ambient basis tuple
+    assert "e1" in str(info.value) and "(2, 1)" in str(info.value)
 
 
 def test_wedge_json_shape():
