@@ -3,7 +3,9 @@
 Every verify subcommand is a thin wrapper over one library check; output
 is deterministic JSON (entries pre-sorted, fixed key order).  Exit codes:
 0 all requested checks pass, 1 a verification failed (the report is still
-emitted), 2 invalid configuration (message on stderr).
+emitted), 2 invalid configuration, 3 internal inconsistency: the routes to
+R(z) disagree or the generators do not preserve a wedge quotient (messages
+on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .rmatrix import (build_r, build_r_z, check_braid_constant,
-                      check_min_poly, check_module_morphism,
-                      check_ybe_spectral, jimbo_compare)
+from .rmatrix import (InternalMismatch, build_r, build_r_z,
+                      check_braid_constant, check_min_poly,
+                      check_module_morphism, check_ybe_spectral,
+                      jimbo_compare)
 from .scalars import ParamSpec
 from .uqrs import (check_defining_relations, hopf_antipode_check, natural_rep,
                    tensor_power_rep, weight_spaces)
-from .wedge import build_wedge_module, spectral_projector_check, verify_fundamental
+from .wedge import (WellDefinednessFailure, build_wedge_module,
+                    spectral_projector_check, verify_fundamental)
 
 
 def _add_common(p, with_k=False, k_default=None):
@@ -210,6 +214,9 @@ def main(argv=None):
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except (InternalMismatch, WellDefinednessFailure) as exc:
+        print(exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

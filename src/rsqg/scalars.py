@@ -4,8 +4,11 @@ Symbolic computations run in the rational function field Q(r, s).  Elements
 are reduced fractions of sparse bivariate polynomials with a canonical
 normalization (coprime numerator/denominator, denominator monic in graded
 lexicographic order with r before s), so structural equality coincides with
-field equality.  Sampled computations substitute fixed rationals r0, s0
-subject to genericity constraints, and all scalars are plain Fractions.
+field equality.  The gcds behind it run on integer coefficients: a
+primitive remainder sequence in Z[s][r], with the contents in Z[s] taken by
+the same sequence in one variable.  Sampled computations substitute fixed
+rationals r0, s0 subject to genericity constraints, and all scalars are
+plain Fractions.
 
 A substitution r -> q, s -> 1/q into univariate rational functions of q is
 provided for comparison with the one-parameter theory.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -39,8 +43,8 @@ def _gl_key(m):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials as sparse dicts degree -> Fraction; used both for
-# gcd bookkeeping in s and for polynomials in q after the Jimbo substitution
+# univariate polynomials in q as sparse dicts degree -> Fraction (the image
+# of the Jimbo substitution)
 
 def _u_add(p, q):
     out = dict(p)
@@ -70,68 +74,182 @@ def _u_mul(p, q):
     return out
 
 
-def _u_deg(p):
-    return max(p) if p else -1
+# ---------------------------------------------------------------------------
+# gcds on integer coefficients.  A polynomial in Z[x] is a dense list of ints,
+# lowest degree first, with no trailing zero ([] is 0); one in Z[s][r] is a
+# list over the r-degree of such lists in s.  A gcd is only defined up to a
+# nonzero rational factor here, so the remainder sequences are primitive
+# (Collins, JACM 1967; Brown, JACM 1971): pseudo-remainders stay integral,
+# and each one is divided by its content before the next step.  Star
+# arguments come from lists, not generators: CPython resizes a tuple built
+# from a generator, and its tuple free lists then grow until a full
+# collection (2 MiB more peak RSS after 700 inverses of 2x2 matrices).
+
+def _z_primitive(p):
+    """p over its integer content, with positive leading coefficient."""
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return p if c == 1 else [a // c for a in p]
 
 
-def _u_divmod(f, g):
-    q = {}
-    r = dict(f)
-    dg = _u_deg(g)
-    lg = g[dg]
-    while r:
-        dr = _u_deg(r)
-        if dr < dg:
-            break
-        c = r[dr] / lg
-        q[dr - dg] = c
-        for d, gc in g.items():
-            k = d + dr - dg
-            v = r.get(k, _F0) - c * gc
-            if v:
-                r[k] = v
-            else:
-                r.pop(k, None)
-    return q, r
+def _z_mul(p, q):
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return out
 
 
-def _u_divexact(f, g):
-    q, r = _u_divmod(f, g)
-    if r:
-        raise ArithmeticError("inexact univariate division")
+def _z_sub(p, q):
+    out = p + [0] * (len(q) - len(p))
+    for i, b in enumerate(q):
+        out[i] -= b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _z_prem(f, g):
+    """A nonzero integer multiple of the remainder of f by g in Q[x]."""
+    r = f
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(r) > dg:
+        c = gcd(lg, r[-1])
+        a, b = lg // c, r[-1] // c
+        r = [a * x for x in r]
+        for i, x in enumerate(g, len(r) - 1 - dg):
+            r[i] -= b * x
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _z_gcd(f, g):
+    """Primitive gcd in Z[x] with positive leading coefficient; f and g
+    are not both 0."""
+    if not f or not g:
+        return _z_primitive(f or g)
+    if len(f) < len(g):
+        f, g = g, f
+    f, g = _z_primitive(f), _z_primitive(g)
+    while len(g) > 1:
+        f, g = g, _z_prem(f, g)
+        if not g:
+            return f
+        g = _z_primitive(g)
+    return [1]
+
+
+def _z_divexact(f, g):
+    """f / g in Z[x] for a primitive g dividing f (Gauss's lemma makes the
+    quotient integral, so every step divides exactly)."""
+    if g == [1]:
+        return f
+    r = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] // lg
+        if c:
+            q[k] = c
+            for i, x in enumerate(g, k):
+                r[i] -= c * x
     return q
 
 
-def _u_monic(p):
-    if not p:
-        return {}
-    lc = p[_u_deg(p)]
-    if lc == 1:
-        return dict(p)
-    return {d: c / lc for d, c in p.items()}
+def _z_from_dict(p):
+    """Integer list of a dict degree -> Fraction, and the common
+    denominator that was cleared."""
+    den = lcm(*[c.denominator for c in p.values()])
+    out = [0] * (max(p) + 1)
+    for d, c in p.items():
+        out[d] = c.numerator * (den // c.denominator)
+    return out, den
 
 
-def _u_gcd(p, q):
-    a, b = dict(p), dict(q)
-    while b:
-        a, b = b, _u_divmod(a, b)[1]
-    return _u_monic(a)
+def _zs_from_terms(terms):
+    """Z[s][r] list of a bivariate term dict with denominators cleared."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    out = [[] for _ in range(max(a for a, _ in terms) + 1)]
+    for (a, b), c in terms.items():
+        co = out[a]
+        if len(co) <= b:
+            co.extend([0] * (b + 1 - len(co)))
+        co[b] = c.numerator * (den // c.denominator)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# bivariate term dicts (a, b) -> Fraction and their gcd via a primitive
-# remainder sequence in (Q[s])[r]
+def _zs_primitive(f):
+    """(primitive part, content) of f in Z[s][r]: the content is the
+    primitive gcd in Z[s] of the coefficients, and the primitive part has
+    integer content 1 and a positive leading coefficient."""
+    cont = []
+    for co in f:
+        if co:
+            cont = _z_gcd(cont, co)
+            if len(cont) == 1:
+                break
+    if len(cont) > 1:
+        f = [_z_divexact(co, cont) if co else [] for co in f]
+    c = gcd(*[x for co in f for x in co])
+    if f[-1][-1] < 0:
+        c = -c
+    if c != 1:
+        f = [[x // c for x in co] for co in f]
+    return f, cont
 
-def _b_monic(terms):
-    if not terms:
-        return {}
-    lc = terms[max(terms, key=_gl_key)]
-    if lc == 1:
-        return dict(terms)
-    return {m: c / lc for m, c in terms.items()}
+
+def _zs_prem(f, g):
+    """A nonzero Z[s]-multiple of the remainder of f by g in Q(s)[r]."""
+    r = f
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(r) > dg:
+        lr = r[-1]
+        r = [_z_mul(co, lg) for co in r]
+        for i, co in enumerate(g, len(r) - 1 - dg):
+            r[i] = _z_sub(r[i], _z_mul(co, lr))
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _b_gcd(f, g):
+    """gcd of two nonzero bivariate term dicts (a, b) -> Fraction, up to a
+    rational factor: an integer term dict, {(0, 0): 1} when coprime."""
+    if len(f) == 1 or len(g) == 1:
+        # a monomial divides a polynomial iff it divides every term
+        return {(min(a for a, _ in (*f, *g)), min(b for _, b in (*f, *g))): 1}
+    pf, cf = _zs_primitive(_zs_from_terms(f))
+    pg, cg = _zs_primitive(_zs_from_terms(g))
+    if len(pf) < len(pg):
+        pf, pg = pg, pf
+    # primitive remainder sequence in r; a primitive remainder of r-degree 0
+    # is 1, so the primitive parts are then coprime
+    while len(pg) > 1:
+        pf, pg = pg, _zs_prem(pf, pg)
+        if not pg:
+            break
+        pg = _zs_primitive(pg)[0]
+    else:
+        pf = [[1]]
+    d = _z_gcd(cf, cg)
+    return {(a, b): c for a, co in enumerate(pf)
+            for b, c in enumerate(_z_mul(co, d)) if c}
 
 
 def _b_divexact(f, g):
+    if len(g) == 1:
+        ((ga, gb), gc), = g.items()
+        return {(a - ga, b - gb): c / gc for (a, b), c in f.items()}
     q = {}
     r = dict(f)
     gm = max(g, key=_gl_key)
@@ -151,101 +269,6 @@ def _b_divexact(f, g):
             else:
                 r.pop(k, None)
     return q
-
-
-def _b_to_rec(terms):
-    rec = {}
-    for (a, b), c in terms.items():
-        rec.setdefault(a, {})[b] = c
-    return rec
-
-
-def _rec_deg(rec):
-    return max(rec) if rec else -1
-
-
-def _rec_sub(f, g):
-    out = {a: dict(co) for a, co in f.items()}
-    for a, co in g.items():
-        merged = _u_add(out.get(a, {}), _u_neg(co))
-        if merged:
-            out[a] = merged
-        else:
-            out.pop(a, None)
-    return out
-
-
-def _rec_scale_u(rec, u):
-    out = {}
-    for a, co in rec.items():
-        prod = _u_mul(co, u)
-        if prod:
-            out[a] = prod
-    return out
-
-
-def _rec_shift_scale(rec, shift, u):
-    out = {}
-    for a, co in rec.items():
-        prod = _u_mul(co, u)
-        if prod:
-            out[a + shift] = prod
-    return out
-
-
-def _rec_prem(f, g):
-    # pseudo-remainder in (Q[s])[r]; exact up to content, which the caller strips
-    dg = _rec_deg(g)
-    lg = g[dg]
-    r = f
-    while r and _rec_deg(r) >= dg:
-        dr = _rec_deg(r)
-        lr = r[dr]
-        r = _rec_sub(_rec_scale_u(r, lg), _rec_shift_scale(g, dr - dg, lr))
-    return r
-
-
-def _rec_content(rec):
-    cont = {}
-    for co in rec.values():
-        cont = _u_gcd(cont, co)
-        if _u_deg(cont) == 0:
-            break
-    return cont
-
-
-def _rec_primitive(rec):
-    cont = _rec_content(rec)
-    if _u_deg(cont) <= 0:
-        return rec, cont
-    return {a: _u_divexact(co, cont) for a, co in rec.items()}, cont
-
-
-def _b_gcd(f, g):
-    """gcd of two bivariate term dicts, normalized monic in graded lex."""
-    if not f:
-        return _b_monic(g)
-    if not g:
-        return _b_monic(f)
-    if len(f) == 1 or len(g) == 1:
-        # a monomial divides a polynomial iff it divides every term
-        fa = min(a for a, _ in f)
-        fb = min(b for _, b in f)
-        ga = min(a for a, _ in g)
-        gb = min(b for _, b in g)
-        return {(min(fa, ga), min(fb, gb)): _F1}
-    pf, cf = _rec_primitive(_b_to_rec(f))
-    pg, cg = _rec_primitive(_b_to_rec(g))
-    d = _u_gcd(cf, cg)
-    if _rec_deg(pf) < _rec_deg(pg):
-        pf, pg = pg, pf
-    while pg:
-        rem = _rec_prem(pf, pg)
-        pf = pg
-        pg = _rec_primitive(rem)[0] if rem else {}
-    res = _rec_scale_u(pf, d)
-    terms = {(a, b): c for a, co in res.items() for b, c in co.items()}
-    return _b_monic(terms)
 
 
 _ONE_TERMS = {(0, 0): _F1}
@@ -560,15 +583,13 @@ class QRat:
         if not num:
             self.num, self.den = {}, {0: _F1}
             return
-        g = _u_gcd(num, den)
-        if _u_deg(g) > 0:
-            num = _u_divexact(num, g)
-            den = _u_divexact(den, g)
-        lc = den[_u_deg(den)]
-        if lc != 1:
-            num = {d: c / lc for d, c in num.items()}
-            den = {d: c / lc for d, c in den.items()}
-        self.num, self.den = num, den
+        nz, ln = _z_from_dict(num)
+        dz, ld = _z_from_dict(den)
+        g = _z_gcd(nz, dz)
+        nz, dz = _z_divexact(nz, g), _z_divexact(dz, g)
+        lc = dz[-1]
+        self.num = {d: Fraction(c * ld, ln * lc) for d, c in enumerate(nz) if c}
+        self.den = {d: Fraction(c, lc) for d, c in enumerate(dz) if c}
 
     @classmethod
     def const(cls, c):

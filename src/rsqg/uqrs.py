@@ -324,9 +324,6 @@ class Weight:
         # eps_1 + ... + eps_k
         return cls(tuple(1 if t <= k else 0 for t in range(1, n + 1)))
 
-    def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def inner_eps(self, i):
         return self.coords[i - 1]
 

@@ -1,0 +1,84 @@
+"""The canonical form of Q(r, s) against an independent oracle: sympy's
+`cancel`, normalized to a denominator monic in graded lex order (total
+degree first, then the r-degree), must give exactly the terms of RatFunc.
+
+The inputs share factors of every kind the gcd has to find: a content in
+s alone, an integer content, and a common bivariate factor, all with
+rational coefficients.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import rsqg.scalars as scalars
+from rsqg import BiPoly, RatFunc
+
+sympy = pytest.importorskip("sympy")
+
+R, S = sympy.symbols("r s")
+
+
+def _random_poly(rng, deg=2, terms=3):
+    out = BiPoly.zero()
+    while not out:
+        for _ in range(terms):
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            out = out + BiPoly.term(rng.randint(0, deg), rng.randint(0, deg), c)
+    return out
+
+
+def _inputs(seed, count):
+    rng = random.Random(seed)
+    s_content = BiPoly.term(0, 1) + BiPoly.one()
+    int_content = BiPoly.const(6)
+    cases = []
+    for _ in range(count):
+        common = _random_poly(rng)
+        num = int_content * s_content * common * _random_poly(rng)
+        den = BiPoly.const(Fraction(4, 3)) * s_content * common * _random_poly(rng)
+        cases.append((num, den))
+    return cases
+
+
+def _to_sympy(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * R**a * S**b
+                for (a, b), c in p.terms.items()), sympy.Integer(0))
+
+
+def _terms(poly, lc):
+    return {m: Fraction(int(c.p), int(c.q)) / lc
+            for m, c in poly.terms() if c}
+
+
+def _oracle(num, den):
+    n, d = sympy.fraction(sympy.cancel(_to_sympy(num) / _to_sympy(den)))
+    n, d = sympy.Poly(n, R, S, domain="QQ"), sympy.Poly(d, R, S, domain="QQ")
+    lc = d.LC(order="grlex")
+    lc = Fraction(int(lc.p), int(lc.q))
+    return _terms(n, lc), _terms(d, lc)
+
+
+def _mismatches(cases):
+    bad = []
+    for num, den in cases:
+        try:
+            f = RatFunc(num, den)
+        except ArithmeticError:  # a wrong gcd may not divide exactly
+            bad.append((num, den))
+            continue
+        if (f.num.terms, f.den.terms) != _oracle(num, den):
+            bad.append((num, den))
+    return bad
+
+
+def test_canonical_form_matches_sympy_cancel():
+    assert _mismatches(_inputs(7, 12)) == []
+
+
+def test_oracle_catches_a_missing_content_gcd(monkeypatch):
+    # a gcd that never finds a common content in s leaves (s + 1) in both
+    # numerator and denominator
+    monkeypatch.setattr(scalars, "_z_gcd", lambda f, g: [1])
+    assert _mismatches(_inputs(7, 12))

@@ -145,6 +145,39 @@ def test_verify_report_failure_exits_1(capsys, monkeypatch):
     assert data["ok"] is False and data["checks"][0]["ok"] is False
 
 
+def test_wedge_well_definedness_failure_exits_3(capsys, monkeypatch):
+    import rsqg.wedge as wedge_mod
+    real = wedge_mod.tensor_action
+
+    def swapped(field, n, name, tup):
+        # e1 sends v2 x v1 to v1 x v2, which breaks the quotient
+        if name == "e1" and tup == (2, 1):
+            return {(1, 2): field.one}
+        return real(field, n, name, tup)
+
+    monkeypatch.setattr(wedge_mod, "tensor_action", swapped)
+    code, out, err = run_cli(capsys, "wedge", "-n", "2", "-k", "2")
+    assert code == 3
+    assert out == ""
+    assert "e1" in err and "(2, 1)" in err
+
+
+def test_r_matrix_route_mismatch_exits_3(capsys, monkeypatch):
+    import rsqg.rmatrix as rmatrix_mod
+    real = rmatrix_mod._direct_r_z
+
+    def corrupted(n, field):
+        rz = real(n, field)
+        return rmatrix_mod.SpectralRMatrix(n, rz.A.scale(field.from_int(2)),
+                                           rz.B)
+
+    monkeypatch.setattr(rmatrix_mod, "_direct_r_z", corrupted)
+    code, out, err = run_cli(capsys, "verify", "ybe", "-n", "2")
+    assert code == 3
+    assert out == ""
+    assert "disagree" in err
+
+
 def test_wedge_build_and_verify(capsys):
     code, out, _ = run_cli(capsys, "wedge", "-n", "3", "-k", "2")
     assert code == 0

@@ -67,6 +67,58 @@ def test_ratfunc_reduces_to_canonical_form():
     assert g.num == BiPoly.const(Fraction(1, 2))
 
 
+def test_ratfunc_gcd_only_an_s_content():
+    # (s + 1)(r + s) / ((s + 1)(r - 2s)): the gcd lives in Z[s] alone
+    f = RatFunc((S + ONE) * (R + S), (S + ONE) * (R - S - S))
+    assert f.num == R + S
+    assert f.den == R - S - S
+
+
+def test_ratfunc_gcd_only_an_integer_content():
+    # 6(r + s) / (4(r - 2s)): coprime over Q, so only the scale changes
+    f = RatFunc(BiPoly.const(6) * (R + S), BiPoly.const(4) * (R - S - S))
+    assert f.num == BiPoly.const(Fraction(3, 2)) * (R + S)
+    assert f.den == R - S - S
+
+
+def test_ratfunc_gcd_monomial():
+    # r^2 s (r + s) / (r s^3 (r - s)) = r (r + s) / (s^2 (r - s))
+    f = RatFunc(R * R * S * (R + S), R * S**3 * (R - S))
+    assert f.num == R * (R + S)
+    assert f.den == S * S * (R - S)
+
+
+def test_ratfunc_coprime_large_coefficients():
+    big = 10**30 + 7
+    num = BiPoly.term(1, 0, big) + BiPoly.term(0, 1, -3**40)
+    den = BiPoly.term(1, 1, 2**70) + BiPoly.const(Fraction(5, 3**25))
+    f = RatFunc(num, den)
+    lc = Fraction(2**70)
+    assert f.num.terms == {m: c / lc for m, c in num.terms.items()}
+    assert f.den.terms == {m: c / lc for m, c in den.terms.items()}
+    # the same pair times a common factor with large coefficients
+    common = BiPoly.term(2, 0, 3**50) - BiPoly.term(0, 1, 2**60) + ONE
+    assert RatFunc(num * common, den * common) == f
+
+
+def test_qrat_reduces_a_common_factor():
+    q = {1: Fraction(1)}
+    one = {0: Fraction(1)}
+    qm1 = {1: Fraction(1), 0: Fraction(-1)}
+    # (q^2 - 1)(2q + 3) / ((q - 1)(q + 5)/3) = 3(q + 1)(2q + 3) / (q + 5)
+    num = {3: Fraction(2), 2: Fraction(3), 1: Fraction(-2), 0: Fraction(-3)}
+    den = {2: Fraction(1, 3), 1: Fraction(4, 3), 0: Fraction(-5, 3)}
+    f = QRat(num, den)
+    assert f.num == {2: Fraction(6), 1: Fraction(15), 0: Fraction(9)}
+    assert f.den == {1: Fraction(1), 0: Fraction(5)}
+    # an integer content alone and a power of q
+    g = QRat({2: Fraction(6), 1: Fraction(6)}, {3: Fraction(4), 2: Fraction(-4)})
+    assert g.num == {1: Fraction(3, 2), 0: Fraction(3, 2)}
+    assert g.den == {2: Fraction(1), 1: Fraction(-1)}
+    assert QRat(qm1, qm1) == QRat(one)
+    assert QRat(q, {2: Fraction(7)}) == QRat(one, {1: Fraction(7)})
+
+
 def test_ratfunc_field_axioms_by_evaluation():
     for _ in range(40):
         a = random_ratfunc(rng)
