@@ -247,9 +247,6 @@ def _b_gcd(f, g):
 
 
 def _b_divexact(f, g):
-    if len(g) == 1:
-        ((ga, gb), gc), = g.items()
-        return {(a - ga, b - gb): c / gc for (a, b), c in f.items()}
     q = {}
     r = dict(f)
     gm = max(g, key=_gl_key)
@@ -580,6 +577,8 @@ class QRat:
         den = {int(d): Fraction(c) for d, c in den.items() if c}
         if not den:
             raise DivisionByZero("zero denominator in Q(q)")
+        if min(num, default=0) < 0 or min(den) < 0:
+            raise ValueError("negative exponent in Q(q) term")
         if not num:
             self.num, self.den = {}, {0: _F1}
             return

@@ -119,6 +119,13 @@ def test_qrat_reduces_a_common_factor():
     assert QRat(q, {2: Fraction(7)}) == QRat(one, {1: Fraction(7)})
 
 
+def test_qrat_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        QRat({1: 1, -1: 1})
+    with pytest.raises(ValueError):
+        QRat({0: 1}, {-1: 1})
+
+
 def test_ratfunc_field_axioms_by_evaluation():
     for _ in range(40):
         a = random_ratfunc(rng)
