@@ -2,9 +2,8 @@
 two-parameter quantum group on sl_n."""
 
 from .scalars import (BiPoly, DenominatorVanishes, DivisionByZero,
-                      GenericityError, ParamSpec, QRat, RatFunc, SampledField,
-                      SymbolicField, evaluate, genericity_check,
-                      specialize_jimbo)
+                      GenericityError, RatFunc, SampledField, SymbolicField,
+                      genericity_check, specialize_jimbo)
 from .linalg import (Matrix, QuotientData, SingularInput, Subspace, invert,
                      kernel_image_rank, tensor_index, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
@@ -26,13 +25,12 @@ __all__ = [
     "BiPoly", "CheckItem", "CheckReport", "DenominatorVanishes",
     "DivisionByZero", "GenericityError", "InternalMismatch",
     "InvalidPower", "InvalidRank", "Matrix", "NonDiagonalAction",
-    "ParamSpec", "QRat", "QuotientData", "QuotientModule", "RatFunc",
-    "Representation", "SampledField", "SingularInput", "SpectralRMatrix",
-    "Subspace", "SymbolicField", "Weight", "WellDefinednessFailure",
-    "alt2", "build_r", "build_r_inverse", "build_r_z",
-    "build_wedge_module", "check_braid_constant",
-    "check_defining_relations", "check_min_poly", "check_module_morphism",
-    "check_ybe_spectral", "evaluate", "genericity_check",
+    "QuotientData", "QuotientModule", "RatFunc", "Representation",
+    "SampledField", "SingularInput", "SpectralRMatrix", "Subspace",
+    "SymbolicField", "Weight", "WellDefinednessFailure", "alt2", "build_r",
+    "build_r_inverse", "build_r_z", "build_wedge_module",
+    "check_braid_constant", "check_defining_relations", "check_min_poly",
+    "check_module_morphism", "check_ybe_spectral", "genericity_check",
     "highest_weight_vectors", "hopf_antipode_check", "invert",
     "jimbo_compare", "kernel_image_rank", "natural_rep",
     "spectral_projector_check", "specialize_jimbo", "straighten", "sym2",

@@ -3,9 +3,9 @@
 Every verify subcommand is a thin wrapper over one library check; output
 is deterministic JSON (entries pre-sorted, fixed key order).  Exit codes:
 0 all requested checks pass, 1 a verification failed (the report is still
-emitted), 2 invalid configuration, 3 internal inconsistency: the routes to
-R(z) disagree or the generators do not preserve a wedge quotient (messages
-on stderr, nothing on stdout).
+emitted), 2 invalid configuration or an unwritable -o path, 3 internal
+inconsistency: the routes to R(z) disagree or the generators do not
+preserve a wedge quotient (messages on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .rmatrix import (InternalMismatch, build_r, build_r_z,
                       check_braid_constant, check_min_poly,
                       check_module_morphism, check_ybe_spectral,
                       jimbo_compare)
-from .scalars import ParamSpec
+from .scalars import SampledField, SymbolicField
 from .uqrs import (check_defining_relations, hopf_antipode_check, natural_rep,
                    tensor_power_rep, weight_spaces)
 from .wedge import (WellDefinednessFailure, build_wedge_module,
@@ -43,11 +43,10 @@ def _add_common(p, with_k=False, k_default=None):
                    help="write JSON to a file instead of stdout")
 
 
-def _params(args):
-    mode = "symbolic" if (args.symbolic or args.mode == "symbolic") else "sampled"
-    if mode == "symbolic":
-        return ParamSpec(mode="symbolic")
-    return ParamSpec(mode="sampled", r0=Fraction(args.r), s0=Fraction(args.s))
+def _field(args):
+    if args.symbolic or args.mode == "symbolic":
+        return SymbolicField()
+    return SampledField(Fraction(args.r), Fraction(args.s))
 
 
 def _emit(obj, path):
@@ -199,9 +198,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_rationals(argv))
     try:
-        params = _params(args)
-        field = params.field()
-        mode = params.mode
+        field = _field(args)
+        mode = field.mode
         if args.command == "rep":
             return _cmd_rep(args, field, mode)
         if args.command == "rmatrix":
@@ -211,7 +209,7 @@ def main(argv=None):
         if args.command == "wedge":
             return _cmd_wedge(args, field, mode)
         return _cmd_weights(args, field, mode)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     except (InternalMismatch, WellDefinednessFailure) as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .linalg import Matrix, invert, tensor_index
-from .scalars import QRat, SymbolicField, specialize_jimbo
+from .scalars import SymbolicField, specialize_jimbo
 from .uqrs import InvalidPower, InvalidRank, tensor_power_rep
 
 
@@ -230,12 +230,14 @@ def check_module_morphism(n, k, field):
 def jimbo_compare(n):
     """The substitution r -> q, s -> q^{-1} turns R(z) into the one-parameter
     R-matrix (1 - zq^2) sum E_ii x E_ii + (1 - z)q sum_{i != j} E_ij x E_ji
-    + (1 - q^2)(sum_{i>j} + z sum_{i<j}) E_ii x E_jj; compared entrywise."""
-    rz = build_r_z(n, SymbolicField())
+    + (1 - q^2)(sum_{i>j} + z sum_{i<j}) E_ii x E_jj; compared entrywise,
+    with q written as r."""
+    field = SymbolicField()
+    rz = build_r_z(n, field)
     spec_a = {k: specialize_jimbo(v) for k, v in rz.A.entries.items()}
     spec_b = {k: specialize_jimbo(v) for k, v in rz.B.entries.items()}
-    q = QRat.gen()
-    one = QRat.const(1)
+    q = field.r
+    one = field.one
     diag = one - q * q
     aent, bent = {}, {}
     for i in range(1, n + 1):

@@ -10,13 +10,13 @@ the same sequence in one variable.  Sampled computations substitute fixed
 rationals r0, s0 subject to genericity constraints, and all scalars are
 plain Fractions.
 
-A substitution r -> q, s -> 1/q into univariate rational functions of q is
-provided for comparison with the one-parameter theory.
+The substitution r -> q, s -> 1/q, for comparison with the one-parameter
+theory, lands in the s-free part Q(r) of Q(r, s), with q written as r; the
+same RatFunc reduction and canonical form serve it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -40,38 +40,6 @@ _F1 = Fraction(1)
 def _gl_key(m):
     # graded lex with r before s: total degree first, then r-degree
     return (m[0] + m[1], m[0])
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials in q as sparse dicts degree -> Fraction (the image
-# of the Jimbo substitution)
-
-def _u_add(p, q):
-    out = dict(p)
-    for d, c in q.items():
-        v = out.get(d, _F0) + c
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _u_neg(p):
-    return {d: -c for d, c in p.items()}
-
-
-def _u_mul(p, q):
-    out = {}
-    for d1, c1 in p.items():
-        for d2, c2 in q.items():
-            d = d1 + d2
-            v = out.get(d, _F0) + c1 * c2
-            if v:
-                out[d] = v
-            else:
-                out.pop(d, None)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +130,6 @@ def _z_divexact(f, g):
             for i, x in enumerate(g, k):
                 r[i] -= c * x
     return q
-
-
-def _z_from_dict(p):
-    """Integer list of a dict degree -> Fraction, and the common
-    denominator that was cleared."""
-    den = lcm(*[c.denominator for c in p.values()])
-    out = [0] * (max(p) + 1)
-    for d, c in p.items():
-        out[d] = c.numerator * (den // c.denominator)
-    return out, den
 
 
 def _zs_from_terms(terms):
@@ -377,7 +335,7 @@ class BiPoly:
         return out
 
     def __str__(self):
-        return _poly_str(self.terms, _mono_rs)
+        return _poly_str(self.terms)
 
     def __repr__(self):
         return f"BiPoly({self})"
@@ -393,15 +351,15 @@ def _mono_rs(m):
     return "*".join(parts)
 
 
-def _poly_str(terms, mono_fmt, key=_gl_key):
+def _poly_str(terms):
     if not terms:
         return "0"
     chunks = []
-    for m in sorted(terms, key=key, reverse=True):
+    for m in sorted(terms, key=_gl_key, reverse=True):
         c = terms[m]
         neg = c < 0
         ac = -c if neg else c
-        mono = mono_fmt(m)
+        mono = _mono_rs(m)
         if not mono:
             body = str(ac)
         elif ac == 1:
@@ -556,136 +514,17 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def evaluate(f, r0, s0):
-    """Evaluate f in Q(r, s) at rational parameters (r0, s0)."""
-    return f.evaluate(Fraction(r0), Fraction(s0))
-
-
 # ---------------------------------------------------------------------------
 # the substitution r -> q, s -> 1/q
-
-class QRat:
-    """Univariate rational function of q as a reduced fraction num/den
-    with monic denominator (the image of the r=q, s=1/q substitution)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = {0: _F1}
-        num = {int(d): Fraction(c) for d, c in num.items() if c}
-        den = {int(d): Fraction(c) for d, c in den.items() if c}
-        if not den:
-            raise DivisionByZero("zero denominator in Q(q)")
-        if min(num, default=0) < 0 or min(den) < 0:
-            raise ValueError("negative exponent in Q(q) term")
-        if not num:
-            self.num, self.den = {}, {0: _F1}
-            return
-        nz, ln = _z_from_dict(num)
-        dz, ld = _z_from_dict(den)
-        g = _z_gcd(nz, dz)
-        nz, dz = _z_divexact(nz, g), _z_divexact(dz, g)
-        lc = dz[-1]
-        self.num = {d: Fraction(c * ld, ln * lc) for d, c in enumerate(nz) if c}
-        self.den = {d: Fraction(c, lc) for d, c in enumerate(dz) if c}
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def gen(cls):
-        return cls({1: _F1})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QRat.const(x)
-        return None
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
-
-    def __neg__(self):
-        return QRat(_u_neg(self.num), self.den)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QRat(_u_add(_u_mul(self.num, o.den), _u_mul(o.num, self.den)),
-                    _u_mul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QRat(_u_mul(self.num, o.num), _u_mul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise DivisionByZero("division by zero in Q(q)")
-        return QRat(_u_mul(self.num, o.den), _u_mul(self.den, o.num))
-
-    def __pow__(self, e):
-        e = int(e)
-        if e < 0:
-            if not self:
-                raise DivisionByZero("inverse of zero in Q(q)")
-            return QRat(self.den, self.num) ** (-e)
-        out = QRat.const(1)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __str__(self):
-        ns = _poly_str(self.num, _mono_q, key=lambda d: d)
-        if self.den == {0: _F1}:
-            return ns
-        return f"({ns})/({_poly_str(self.den, _mono_q, key=lambda d: d)})"
-
-    def __repr__(self):
-        return f"QRat({self})"
-
-
-def _mono_q(d):
-    if d == 0:
-        return ""
-    return "q" if d == 1 else f"q^{d}"
-
 
 def specialize_jimbo(f):
     """Substitute r -> q, s -> q^{-1} into f in Q(r, s).
 
-    The substituted numerator and denominator are Laurent polynomials in q;
-    both are shifted by a common power of q to clear negative exponents and
-    then reduced.  Raises DenominatorVanishes if the denominator collapses
-    to zero identically (e.g. any multiple of rs - 1).
+    q is written as r, so the result is a RatFunc whose terms all have
+    s-degree 0.  The substituted numerator and denominator are Laurent
+    polynomials in q; both are shifted by a common power of q to clear
+    negative exponents and then reduced.  Raises DenominatorVanishes if the
+    denominator collapses to zero identically (e.g. any multiple of rs - 1).
     """
     def laurent(terms):
         out = {}
@@ -704,8 +543,8 @@ def specialize_jimbo(f):
         raise DenominatorVanishes(
             f"denominator {f.den} vanishes identically under r=q, s=1/q")
     shift = -min(list(nl) + list(dl) + [0])
-    return QRat({d + shift: c for d, c in nl.items()},
-                {d + shift: c for d, c in dl.items()})
+    return RatFunc(BiPoly._raw({(d + shift, 0): c for d, c in nl.items()}),
+                   BiPoly._raw({(d + shift, 0): c for d, c in dl.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -795,25 +634,3 @@ class SampledField(_Field):
 
     def __repr__(self):
         return f"SampledField(r={self.r}, s={self.s})"
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    """Parameter configuration: symbolic indeterminates or sampled rationals."""
-
-    mode: str = "sampled"
-    r0: Fraction = Fraction(2)
-    s0: Fraction = Fraction(3)
-
-    def __post_init__(self):
-        if self.mode not in ("symbolic", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled":
-            bad = genericity_check(self.r0, self.s0)
-            if bad:
-                raise GenericityError("; ".join(bad) + " violates genericity")
-
-    def field(self):
-        if self.mode == "symbolic":
-            return SymbolicField()
-        return SampledField(self.r0, self.s0)

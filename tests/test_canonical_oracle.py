@@ -4,7 +4,8 @@ degree first, then the r-degree), must give exactly the terms of RatFunc.
 
 The inputs share factors of every kind the gcd has to find: a content in
 s alone, an integer content, and a common bivariate factor, all with
-rational coefficients.
+rational coefficients.  Inputs in r alone (the image of the one-parameter
+specialization) and in s alone share a linear factor and a random one.
 """
 
 import random
@@ -20,24 +21,27 @@ sympy = pytest.importorskip("sympy")
 R, S = sympy.symbols("r s")
 
 
-def _random_poly(rng, deg=2, terms=3):
+def _random_poly(rng, rdeg=2, sdeg=2, terms=3):
     out = BiPoly.zero()
     while not out:
         for _ in range(terms):
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            out = out + BiPoly.term(rng.randint(0, deg), rng.randint(0, deg), c)
+            out = out + BiPoly.term(rng.randint(0, rdeg), rng.randint(0, sdeg), c)
     return out
 
 
-def _inputs(seed, count):
+def _inputs(seed, count, rdeg=2, sdeg=2):
     rng = random.Random(seed)
-    s_content = BiPoly.term(0, 1) + BiPoly.one()
+    # s + 1 (a content in s), or r + 1 when s is absent
+    shared = (BiPoly.term(0, 1) if sdeg else BiPoly.term(1, 0)) + BiPoly.one()
     int_content = BiPoly.const(6)
     cases = []
     for _ in range(count):
-        common = _random_poly(rng)
-        num = int_content * s_content * common * _random_poly(rng)
-        den = BiPoly.const(Fraction(4, 3)) * s_content * common * _random_poly(rng)
+        common = _random_poly(rng, rdeg, sdeg)
+        num = (int_content * shared * common
+               * _random_poly(rng, rdeg, sdeg))
+        den = (BiPoly.const(Fraction(4, 3)) * shared * common
+               * _random_poly(rng, rdeg, sdeg))
         cases.append((num, den))
     return cases
 
@@ -74,7 +78,9 @@ def _mismatches(cases):
 
 
 def test_canonical_form_matches_sympy_cancel():
-    assert _mismatches(_inputs(7, 12)) == []
+    cases = (_inputs(7, 12) + _inputs(8, 8, sdeg=0)
+             + _inputs(9, 8, rdeg=0))
+    assert _mismatches(cases) == []
 
 
 def test_oracle_catches_a_missing_content_gcd(monkeypatch):

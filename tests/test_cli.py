@@ -251,6 +251,15 @@ def test_output_to_file(tmp_path, capsys):
     assert path.read_text().endswith("}\n")
 
 
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "rep", "natural", "-n", "2", "-o",
+                             str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err
+
+
 def test_no_trailing_whitespace(capsys):
     _, out, _ = run_cli(capsys, "verify", "braid", "-n", "2")
     for line in out.splitlines():

@@ -31,6 +31,11 @@ COMMANDS = {
     "weights_n3_k3_symbolic": "weights -n 3 -k 3 --symbolic",
     "rmatrix_n3_spectral_symbolic": "rmatrix -n 3 --spectral --symbolic",
     "verify_prop41_n3_symbolic": "verify prop41 -n 3 --symbolic",
+    "verify_ybe_n2": "verify ybe -n 2",
+    "verify_braid_n2": "verify braid -n 2",
+    "verify_minpoly_n2": "verify minpoly -n 2",
+    "verify_morphism_n2": "verify morphism -n 2",
+    "verify_jimbo_n3": "verify jimbo -n 3",
 }
 
 

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from rsqg import (InvalidPower, InvalidRank, Matrix, QRat, SampledField,
-                  SingularInput, SymbolicField, build_r, build_r_inverse,
-                  build_r_z, check_braid_constant, check_min_poly,
-                  check_module_morphism, check_ybe_spectral, invert,
-                  jimbo_compare, specialize_jimbo, tensor_index,
+import rsqg.rmatrix as rmatrix
+from rsqg import (InvalidPower, InvalidRank, Matrix, SampledField,
+                  SingularInput, SpectralRMatrix, SymbolicField, build_r,
+                  build_r_inverse, build_r_z, check_braid_constant,
+                  check_min_poly, check_module_morphism, check_ybe_spectral,
+                  invert, jimbo_compare, specialize_jimbo, tensor_index,
                   yang_baxterize)
 
 sym = SymbolicField()
@@ -148,9 +149,9 @@ def test_module_morphism():
 
 def test_jimbo_specialized_entries():
     rz = build_r_z(2, sym)
-    q = QRat.gen()
+    q = sym.r  # the image Q(q) is written in r
     # diagonal entry 1 - z q^2
-    assert specialize_jimbo(rz.A.get(1, 1)) == QRat.const(1)
+    assert specialize_jimbo(rz.A.get(1, 1)) == sym.one
     assert specialize_jimbo(rz.B.get(1, 1)) == -(q * q)
     # both exchange entries collapse to (1 - z) q
     assert specialize_jimbo(rz.A.get(3, 2)) == q
@@ -160,3 +161,56 @@ def test_jimbo_specialized_entries():
 def test_jimbo_compare():
     assert jimbo_compare(2)
     assert jimbo_compare(3)
+
+
+# Mutation tests: each verifier must reject a corrupted R.  At n = 2 the
+# exchange v1 x v2 -> r v2 x v1 is the entry (3, 2).
+
+def _with_entry(mat, pos, value):
+    ent = dict(mat.entries)
+    ent[pos] = value
+    return Matrix(mat.rows, mat.cols, ent)
+
+
+def _double_11(R, field):
+    return _with_entry(R, (1, 1), R.get(1, 1) * field.from_int(2))
+
+
+def _flip_r_exchange(R, field):
+    return _with_entry(R, (3, 2), -R.get(3, 2))
+
+
+def _scale_b(rz, field):
+    return SpectralRMatrix(rz.n, rz.A, rz.B.scale(field.from_int(2)))
+
+
+def _negate_a_exchange(rz, field):
+    return SpectralRMatrix(rz.n, _with_entry(rz.A, (3, 2), -rz.A.get(3, 2)),
+                           rz.B)
+
+
+def _constant_checks(field):
+    return (check_braid_constant(2, field), check_min_poly(2, field),
+            check_module_morphism(2, 2, field))
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+@pytest.mark.parametrize("corrupt", [_double_11, _flip_r_exchange])
+def test_constant_r_checks_reject_a_corrupted_r(monkeypatch, field, corrupt):
+    assert _constant_checks(field) == (True, True, True)
+    true_r = rmatrix.build_r
+    monkeypatch.setattr(rmatrix, "build_r",
+                        lambda n, f: corrupt(true_r(n, f), f))
+    assert _constant_checks(field) == (False, False, False)
+
+
+@pytest.mark.parametrize("corrupt", [_scale_b, _negate_a_exchange])
+def test_spectral_checks_reject_a_corrupted_r_z(monkeypatch, corrupt):
+    assert check_ybe_spectral(2, sym) and check_ybe_spectral(2, smp)
+    assert jimbo_compare(2)
+    true_r_z = rmatrix.build_r_z
+    monkeypatch.setattr(rmatrix, "build_r_z",
+                        lambda n, f: corrupt(true_r_z(n, f), f))
+    assert not check_ybe_spectral(2, sym)
+    assert not check_ybe_spectral(2, smp)
+    assert not jimbo_compare(2)
