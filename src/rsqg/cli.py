@@ -1,9 +1,11 @@
 """Command line interface: construct objects, run checks, emit JSON.
 
-Every verify subcommand is a thin wrapper over one library check; output
+Every check returns a CheckReport, each verify subcommand is one entry
+of the _VERIFY table, and all checks leave through _emit_report.  Output
 is deterministic JSON (entries pre-sorted, fixed key order).  Exit codes:
 0 all requested checks pass, 1 a verification failed (the report is still
-emitted), 2 invalid configuration or an unwritable -o path, 3 internal
+emitted), 2 invalid configuration (a malformed rational, an option the
+command does not take) or an unwritable -o path, 3 internal
 inconsistency: the routes to R(z) disagree or the generators do not
 preserve a wedge quotient (messages on stderr, nothing on stdout).
 """
@@ -35,18 +37,33 @@ def _add_common(p, with_k=False, k_default=None):
                    help="scalar field (default sampled)")
     p.add_argument("--symbolic", action="store_true",
                    help="shorthand for --mode symbolic")
-    p.add_argument("--r", default="2", metavar="RAT",
+    p.add_argument("--r", type=_rational, metavar="RAT",
                    help="sampled value of r (default 2)")
-    p.add_argument("--s", default="3", metavar="RAT",
+    p.add_argument("--s", type=_rational, metavar="RAT",
                    help="sampled value of s (default 3)")
     p.add_argument("-o", metavar="PATH", default=None,
                    help="write JSON to a file instead of stdout")
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid rational {text!r}") from None
+
+
 def _field(args):
-    if args.symbolic or args.mode == "symbolic":
+    """The scalar field of the options; verify jimbo runs in Q(r, s) only."""
+    jimbo = args.command == "verify" and args.what == "jimbo"
+    if jimbo and (args.r is not None or args.s is not None
+                  or args.mode == "sampled"):
+        raise ValueError("verify jimbo runs in Q(r, s); it takes no --r, "
+                         "--s or --mode sampled")
+    if jimbo or args.symbolic or args.mode == "symbolic":
         return SymbolicField()
-    return SampledField(Fraction(args.r), Fraction(args.s))
+    return SampledField(2 if args.r is None else args.r,
+                        3 if args.s is None else args.s)
 
 
 def _emit(obj, path):
@@ -58,10 +75,13 @@ def _emit(obj, path):
         sys.stdout.write(text)
 
 
-def _report_json(name, args, mode, field, report, **extra):
-    obj = {"check": name, "n": args.n, **extra, "mode": mode,
-           "ok": report.ok, "checks": report.to_json(field)}
-    return obj
+def _emit_report(name, args, mode, field, report, rows=True, **extra):
+    """Emit the verdict, with the rows if asked; return the exit code."""
+    obj = {"check": name, "n": args.n, **extra, "mode": mode, "ok": report.ok}
+    if rows:
+        obj["checks"] = report.to_json(field)
+    _emit(obj, args.o)
+    return 0 if report.ok else 1
 
 
 def build_parser():
@@ -82,14 +102,13 @@ def build_parser():
 
     p = sub.add_parser("rmatrix", help="constant or spectral R-matrix")
     _add_common(p)
-    p.add_argument("-z", default=None, metavar="RAT",
+    p.add_argument("-z", type=_rational, metavar="RAT",
                    help="evaluate the spectral R(z) at this rational")
     p.add_argument("--spectral", action="store_true",
                    help="emit the pair (A, B) with R(z) = A + z B")
 
     p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("what", choices=("ybe", "braid", "minpoly", "morphism",
-                                    "hopf", "jimbo", "prop41"))
+    p.add_argument("what", choices=_VERIFY)
     _add_common(p, with_k=True)  # only morphism takes -k; see _cmd_verify
 
     p = sub.add_parser("wedge", help="build or verify a wedge module")
@@ -108,22 +127,33 @@ def _cmd_rep(args, field, mode):
     if args.rep_command == "tensor":
         _emit(tensor_power_rep(args.n, args.k, field).to_json(), args.o)
         return 0
-    rep = tensor_power_rep(args.n, args.k, field)
-    report = check_defining_relations(rep)
-    _emit(_report_json("relations", args, mode, field, report, k=args.k),
-          args.o)
-    return 0 if report.ok else 1
+    report = check_defining_relations(tensor_power_rep(args.n, args.k, field))
+    return _emit_report("relations", args, mode, field, report, k=args.k)
 
 
 def _cmd_rmatrix(args, field, mode):
     if args.spectral:
         _emit(build_r_z(args.n, field).to_json(field), args.o)
     elif args.z is not None:
-        z = field.from_fraction(Fraction(args.z))
+        z = field.from_fraction(args.z)
         _emit(build_r_z(args.n, field).at(z).to_json(field), args.o)
     else:
         _emit(build_r(args.n, field).to_json(field), args.o)
     return 0
+
+
+# verify subcommand -> (its check on (args, field), whether to print rows).
+# The R-matrix checks print only the verdict: golden files and perfbench's
+# check_verdict_json pin that object.
+_VERIFY = {
+    "ybe": (lambda a, f: check_ybe_spectral(a.n, f), False),
+    "braid": (lambda a, f: check_braid_constant(a.n, f), False),
+    "minpoly": (lambda a, f: check_min_poly(a.n, f), False),
+    "morphism": (lambda a, f: check_module_morphism(a.n, a.k, f), False),
+    "hopf": (lambda a, f: hopf_antipode_check(natural_rep(a.n, f)), True),
+    "jimbo": (lambda a, f: jimbo_compare(a.n), False),
+    "prop41": (lambda a, f: spectral_projector_check(a.n, f), True),
+}
 
 
 def _cmd_verify(args, field, mode):
@@ -133,39 +163,18 @@ def _cmd_verify(args, field, mode):
                          "has a tensor power")
     if args.k is None:
         args.k = 2  # the morphism check's default tensor power
-    if what == "hopf":
-        report = hopf_antipode_check(natural_rep(args.n, field))
-        _emit(_report_json("hopf", args, mode, field, report), args.o)
-        return 0 if report.ok else 1
-    if what == "prop41":
-        report = spectral_projector_check(args.n, field)
-        _emit(_report_json("prop41", args, mode, field, report), args.o)
-        return 0 if report.ok else 1
-    if what == "ybe":
-        ok = check_ybe_spectral(args.n, field)
-    elif what == "braid":
-        ok = check_braid_constant(args.n, field)
-    elif what == "minpoly":
-        ok = check_min_poly(args.n, field)
-    elif what == "morphism":
-        ok = check_module_morphism(args.n, args.k, field)
-    else:
-        ok = jimbo_compare(args.n)
-        mode = "symbolic"
-    obj = {"check": what, "n": args.n, "mode": mode, "ok": ok}
-    if what == "morphism":
-        obj = {"check": what, "n": args.n, "k": args.k, "mode": mode, "ok": ok}
-    _emit(obj, args.o)
-    return 0 if ok else 1
+    check, rows = _VERIFY[what]
+    extra = {"k": args.k} if what == "morphism" else {}
+    return _emit_report(what, args, mode, field, check(args, field),
+                        rows=rows, **extra)
 
 
 def _cmd_wedge(args, field, mode):
     mod = build_wedge_module(args.n, args.k, field)
     if args.action == "verify":
         report = verify_fundamental(args.n, args.k, field, module=mod)
-        _emit(_report_json("fundamental", args, mode, field, report,
-                           k=args.k), args.o)
-        return 0 if report.ok else 1
+        return _emit_report("fundamental", args, mode, field, report,
+                            k=args.k)
     _emit(mod.to_json(), args.o)
     return 0
 

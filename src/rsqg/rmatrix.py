@@ -17,7 +17,8 @@ import math
 
 from .linalg import Matrix, invert, tensor_index
 from .scalars import SymbolicField, specialize_jimbo
-from .uqrs import InvalidPower, InvalidRank, tensor_power_rep
+from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank, _compare,
+                   tensor_power_rep)
 
 
 class InternalMismatch(AssertionError):
@@ -158,38 +159,30 @@ def check_braid_constant(n, field):
     one = field.one
     r1 = _padded(R, 1, 3, n, one)
     r2 = _padded(R, 2, 3, n, one)
-    if r1 * r2 * r1 != r2 * r1 * r2:
-        return False
+    braid = _compare("braid", (1, 2), r1 * r2 * r1, r2 * r1 * r2)
     r1 = _padded(R, 1, 4, n, one)
     r3 = _padded(R, 3, 4, n, one)
-    return r1 * r3 == r3 * r1
+    return CheckReport([braid, _compare("far commutation", (1, 3),
+                                        r1 * r3, r3 * r1)])
 
 
 def check_ybe_spectral(n, field):
     """Spectral Yang-Baxter equation R1(z) R2(zw) R1(w) = R2(w) R1(zw) R2(z).
 
     Entries of both sides are polynomials of degree at most 2 in z and in
-    w separately, so agreement on the grid {1, 2, 3, 5}^2 of distinct
-    points proves the polynomial identity exactly.
+    w separately, so agreement (one row per point) on the grid
+    {1, 2, 3, 5}^2 of distinct points proves the identity exactly.
     """
     rz = build_r_z(n, field)
-    one = field.one
-    pts = [field.from_int(m) for m in (1, 2, 3, 5)]
-    cache = {}
-
-    def rmat(pos, val):
-        key = (pos, val)
-        if key not in cache:
-            cache[key] = _padded(rz.at(val), pos, 3, n, one)
-        return cache[key]
-
-    for z in pts:
-        for w in pts:
-            lhs = rmat(1, z) * rmat(2, z * w) * rmat(1, w)
-            rhs = rmat(2, w) * rmat(1, z * w) * rmat(2, z)
-            if lhs != rhs:
-                return False
-    return True
+    grid = (1, 2, 3, 5)
+    # R(t) at positions 1 and 2 for t = zw; 1 is in the grid, so t = z, w too
+    rmat = {(pos, t): _padded(rz.at(field.from_fraction(t)), pos, 3, n,
+                              field.one)
+            for pos in (1, 2) for t in {z * w for z in grid for w in grid}}
+    return CheckReport(
+        _compare("ybe", (z, w), rmat[1, z] * rmat[2, z * w] * rmat[1, w],
+                 rmat[2, w] * rmat[1, z * w] * rmat[2, z])
+        for z in grid for w in grid)
 
 
 def check_min_poly(n, field):
@@ -203,39 +196,38 @@ def check_min_poly(n, field):
     R = build_r(n, field)
     rs = field.r * field.s**-1
     ident = Matrix.identity(n * n, field.one)
-    prod = (R - ident) * (R + ident.scale(rs))
-    if not prod.is_zero():
-        return False
-    if (R - ident).is_zero() or (R + ident.scale(rs)).is_zero():
-        return False
-    return R * R == R.scale(field.one - rs) + ident.scale(rs)
+    low, high = R - ident, R + ident.scale(rs)
+    return CheckReport([
+        _compare("annihilation", (n,), low * high, Matrix.zero(n * n, n * n)),
+        CheckItem("R - 1 does not annihilate", (n,), not low.is_zero()),
+        CheckItem("R + rs^-1 does not annihilate", (n,), not high.is_zero()),
+        _compare("quadratic", (n,), R * R,
+                 R.scale(field.one - rs) + ident.scale(rs))])
 
 
 def check_module_morphism(n, k, field):
-    """R at every adjacent position commutes with all generator actions
-    on the k-th tensor power of the natural module."""
+    """R at every adjacent position commutes with every generator on the
+    k-th tensor power of V; one row per (position, generator)."""
     if k < 2:
         raise InvalidPower("module morphism check needs k >= 2")
     rep = tensor_power_rep(n, k, field)
     R = build_r(n, field)
+    checks = []
     for pos in range(1, k):
         rp = _padded(R, pos, k, n, field.one)
         for name in rep.generator_names():
             g = rep.gens[name]
-            if rp * g != g * rp:
-                return False
-    return True
+            checks.append(_compare("morphism", (pos, name), rp * g, g * rp))
+    return CheckReport(checks)
 
 
 def jimbo_compare(n):
     """The substitution r -> q, s -> q^{-1} turns R(z) into the one-parameter
     R-matrix (1 - zq^2) sum E_ii x E_ii + (1 - z)q sum_{i != j} E_ij x E_ji
     + (1 - q^2)(sum_{i>j} + z sum_{i<j}) E_ii x E_jj; compared entrywise,
-    with q written as r."""
+    with q written as r.  Rows jimbo:A and jimbo:B compare the two parts."""
     field = SymbolicField()
     rz = build_r_z(n, field)
-    spec_a = {k: specialize_jimbo(v) for k, v in rz.A.entries.items()}
-    spec_b = {k: specialize_jimbo(v) for k, v in rz.B.entries.items()}
     q = field.r
     one = field.one
     diag = one - q * q
@@ -252,9 +244,11 @@ def jimbo_compare(n):
             ji = tensor_index((j, i), n)
             aent[(ji, ij)] = q
             bent[(ji, ij)] = -q
-            if diag:
-                if i > j:
-                    aent[(ij, ij)] = diag
-                else:
-                    bent[(ij, ij)] = diag
-    return spec_a == aent and spec_b == bent
+            (aent if i > j else bent)[(ij, ij)] = diag
+    size = n * n
+    return CheckReport(
+        _compare(f"jimbo:{part}", (n,),
+                 Matrix(size, size, {k: specialize_jimbo(v)
+                                     for k, v in got.entries.items()}),
+                 Matrix(size, size, want))
+        for part, got, want in (("A", rz.A, aent), ("B", rz.B, bent)))

@@ -604,9 +604,6 @@ class SymbolicField(_Field):
                          RatFunc._canonical(BiPoly.term(1, 0), BiPoly.one()),
                          RatFunc._canonical(BiPoly.term(0, 1), BiPoly.one()))
 
-    def from_int(self, m):
-        return RatFunc.const(m)
-
     def from_fraction(self, q):
         return RatFunc.const(q)
 
@@ -625,9 +622,6 @@ class SampledField(_Field):
         if bad:
             raise GenericityError("; ".join(bad) + " violates genericity")
         super().__init__(_F0, _F1, r0, s0)
-
-    def from_int(self, m):
-        return Fraction(m)
 
     def from_fraction(self, q):
         return Fraction(q)

@@ -57,7 +57,7 @@ class CheckItem:
 
 
 class CheckReport:
-    """A list of CheckItem results with an aggregate verdict."""
+    """CheckItem results with an aggregate verdict .ok (no truth value)."""
 
     def __init__(self, checks):
         self.checks = list(checks)
@@ -65,6 +65,9 @@ class CheckReport:
     @property
     def ok(self):
         return all(c.ok for c in self.checks)
+
+    def __bool__(self):
+        raise TypeError("a CheckReport has no truth value; read .ok")
 
     def failures(self):
         return [c for c in self.checks if not c.ok]

@@ -3,10 +3,14 @@ import json
 import pytest
 
 import rsqg.cli as cli
+from rsqg import CheckItem, CheckReport
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejected an option value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,6 +48,15 @@ def test_bad_rational_exits_2(capsys):
     code, _, err = run_cli(capsys, "rep", "natural", "-n", "2", "--r", "x")
     assert code == 2
     assert err != ""
+
+
+@pytest.mark.parametrize("argv", [("rep", "natural", "-n", "2", "--r", "1/0"),
+                                  ("rep", "natural", "-n", "2", "--s", "3/0"),
+                                  ("rmatrix", "-n", "2", "-z", "1/0")])
+def test_zero_denominator_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"invalid rational '{argv[-1]}'" in err
 
 
 def test_negative_slash_rational_values(capsys):
@@ -115,6 +128,29 @@ def test_verify_morphism_k_defaults_to_2(capsys):
         run_cli(capsys, "verify", "morphism", "-n", "2", "-k", "2")
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_verify_morphism_k_below_2_exits_2(capsys, k):
+    code, out, err = run_cli(capsys, "verify", "morphism", "-n", "2", "-k", k)
+    assert (code, out) == (2, "")
+    assert "needs k >= 2" in err
+
+
+@pytest.mark.parametrize("extra", [("--r", "5"), ("--s", "7"),
+                                   ("--mode", "sampled"),
+                                   ("--r", "2", "--s", "2")])
+def test_verify_jimbo_rejects_sampled_options(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", "jimbo", "-n", "3", *extra)
+    assert (code, out) == (2, "")
+    assert "verify jimbo runs in Q(r, s)" in err
+
+
+def test_verify_jimbo_accepts_symbolic_mode(capsys):
+    plain = run_cli(capsys, "verify", "jimbo", "-n", "2")
+    assert json.loads(plain[1])["mode"] == "symbolic"
+    for extra in (("--symbolic",), ("--mode", "symbolic")):
+        assert run_cli(capsys, "verify", "jimbo", "-n", "2", *extra) == plain
+
+
 def test_verify_minpoly_example(capsys):
     code, out, _ = run_cli(capsys, "verify", "minpoly", "-n", "3",
                            "--mode", "sampled", "--r", "2", "--s", "3")
@@ -123,10 +159,13 @@ def test_verify_minpoly_example(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_ybe_spectral", lambda n, field: False)
+    failed = CheckReport([CheckItem("ybe", (1, 2), False)])
+    monkeypatch.setattr(cli, "check_ybe_spectral", lambda n, field: failed)
     code, out, _ = run_cli(capsys, "verify", "ybe", "-n", "2")
     assert code == 1
-    assert json.loads(out)["ok"] is False
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert "checks" not in data  # the R checks print only their verdict
 
 
 def test_verify_report_failure_exits_1(capsys, monkeypatch):
@@ -168,8 +207,8 @@ def test_r_matrix_route_mismatch_exits_3(capsys, monkeypatch):
 
     def corrupted(n, field):
         rz = real(n, field)
-        return rmatrix_mod.SpectralRMatrix(n, rz.A.scale(field.from_int(2)),
-                                           rz.B)
+        two = field.from_fraction(2)
+        return rmatrix_mod.SpectralRMatrix(n, rz.A.scale(two), rz.B)
 
     monkeypatch.setattr(rmatrix_mod, "_direct_r_z", corrupted)
     code, out, err = run_cli(capsys, "verify", "ybe", "-n", "2")

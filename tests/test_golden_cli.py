@@ -36,6 +36,8 @@ COMMANDS = {
     "verify_minpoly_n2": "verify minpoly -n 2",
     "verify_morphism_n2": "verify morphism -n 2",
     "verify_jimbo_n3": "verify jimbo -n 3",
+    "verify_hopf_n3": "verify hopf -n 3",
+    "verify_morphism_n3_k3_symbolic": "verify morphism -n 3 -k 3 --symbolic",
 }
 
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 import rsqg.rmatrix as rmatrix
-from rsqg import (InvalidPower, InvalidRank, Matrix, SampledField,
-                  SingularInput, SpectralRMatrix, SymbolicField, build_r,
-                  build_r_inverse, build_r_z, check_braid_constant,
+from rsqg import (CheckReport, InvalidPower, InvalidRank, Matrix,
+                  SampledField, SingularInput, SpectralRMatrix, SymbolicField,
+                  build_r, build_r_inverse, build_r_z, check_braid_constant,
                   check_min_poly, check_module_morphism, check_ybe_spectral,
                   invert, jimbo_compare, specialize_jimbo, tensor_index,
-                  yang_baxterize)
+                  tensor_power_rep, yang_baxterize)
 
 sym = SymbolicField()
 smp = SampledField(2, 3)
@@ -50,7 +50,7 @@ def test_yang_baxterize_identity():
     ident = Matrix.identity(4, smp.one)
     rz = yang_baxterize(ident, smp.one, smp.one, smp)
     assert rz.n == 2
-    assert rz.at(smp.from_int(3)) == ident.scale(Fraction(4))
+    assert rz.at(smp.from_fraction(3)) == ident.scale(Fraction(4))
     with pytest.raises(ValueError):
         yang_baxterize(ident, smp.zero, smp.one, smp)
     with pytest.raises(SingularInput):
@@ -95,14 +95,14 @@ def test_r_z_explicit_coefficients_n2():
 
 def test_braid_and_far_commutation():
     for n in (1, 2, 3):
-        assert check_braid_constant(n, sym)
-    assert check_braid_constant(4, smp)
+        assert check_braid_constant(n, sym).ok
+    assert check_braid_constant(4, smp).ok
 
 
 def test_min_poly():
     for n in (2, 3, 4):
-        assert check_min_poly(n, sym)
-    assert check_min_poly(2, smp)
+        assert check_min_poly(n, sym).ok
+    assert check_min_poly(2, smp).ok
     with pytest.raises(InvalidRank):
         check_min_poly(1, sym)
     # minimality: neither factor annihilates alone
@@ -121,8 +121,12 @@ def test_quadratic_relation():
 
 
 def test_ybe_spectral():
-    assert check_ybe_spectral(2, sym)
-    assert check_ybe_spectral(3, smp)
+    report = check_ybe_spectral(2, sym)
+    assert report.ok
+    grid = (1, 2, 3, 5)
+    assert [c.indices for c in report.checks] == [(z, w) for z in grid
+                                                  for w in grid]
+    assert check_ybe_spectral(3, smp).ok
 
 
 def test_ybe_point_z_w_one():
@@ -141,8 +145,8 @@ def test_ybe_point_z_w_one():
 
 
 def test_module_morphism():
-    assert check_module_morphism(2, 2, sym)
-    assert check_module_morphism(3, 3, smp)
+    assert check_module_morphism(2, 2, sym).ok
+    assert check_module_morphism(3, 3, smp).ok
     with pytest.raises(InvalidPower):
         check_module_morphism(2, 1, sym)
 
@@ -159,8 +163,20 @@ def test_jimbo_specialized_entries():
 
 
 def test_jimbo_compare():
-    assert jimbo_compare(2)
-    assert jimbo_compare(3)
+    for n in (2, 3):
+        report = jimbo_compare(n)
+        assert report.ok
+        assert [(c.name, c.indices) for c in report.checks] == \
+            [("jimbo:A", (n,)), ("jimbo:B", (n,))]
+
+
+def test_check_report_has_no_truth_value():
+    # a report read as a bool would pass `all(...)` vacuously
+    for report in (check_braid_constant(2, smp), CheckReport([])):
+        with pytest.raises(TypeError, match=r"read \.ok"):
+            bool(report)
+        with pytest.raises(TypeError):
+            all([report])
 
 
 # Mutation tests: each verifier must reject a corrupted R.  At n = 2 the
@@ -173,7 +189,7 @@ def _with_entry(mat, pos, value):
 
 
 def _double_11(R, field):
-    return _with_entry(R, (1, 1), R.get(1, 1) * field.from_int(2))
+    return _with_entry(R, (1, 1), R.get(1, 1) * field.from_fraction(2))
 
 
 def _flip_r_exchange(R, field):
@@ -181,7 +197,7 @@ def _flip_r_exchange(R, field):
 
 
 def _scale_b(rz, field):
-    return SpectralRMatrix(rz.n, rz.A, rz.B.scale(field.from_int(2)))
+    return SpectralRMatrix(rz.n, rz.A, rz.B.scale(field.from_fraction(2)))
 
 
 def _negate_a_exchange(rz, field):
@@ -194,23 +210,93 @@ def _constant_checks(field):
             check_module_morphism(2, 2, field))
 
 
+def _failed(report):
+    return {(c.name, c.indices) for c in report.failures()}
+
+
+def _assert_first_difference(row, lhs, rhs):
+    """row's witness is the first basis column where lhs and rhs differ."""
+    j = row.witness["witness_basis_index"]
+    assert all(lhs.col(i) == rhs.col(i) for i in range(1, j))
+    assert (row.witness["lhs"], row.witness["rhs"]) == (lhs.col(j), rhs.col(j))
+    assert lhs.col(j) != rhs.col(j)
+
+
 @pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
 @pytest.mark.parametrize("corrupt", [_double_11, _flip_r_exchange])
 def test_constant_r_checks_reject_a_corrupted_r(monkeypatch, field, corrupt):
-    assert _constant_checks(field) == (True, True, True)
+    assert [c.ok for c in _constant_checks(field)] == [True, True, True]
     true_r = rmatrix.build_r
     monkeypatch.setattr(rmatrix, "build_r",
                         lambda n, f: corrupt(true_r(n, f), f))
-    assert _constant_checks(field) == (False, False, False)
+    assert [c.ok for c in _constant_checks(field)] == [False, False, False]
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_flipped_exchange_fails_braid_with_a_witness(monkeypatch, field):
+    bad = _flip_r_exchange(build_r(2, field), field)
+    monkeypatch.setattr(rmatrix, "build_r", lambda n, f: bad)
+    report = check_braid_constant(2, field)
+    assert _failed(report) == {("braid", (1, 2))}
+    i2 = Matrix.identity(2, field.one)
+    r1, r2 = bad.kron(i2), i2.kron(bad)
+    _assert_first_difference(report.failures()[0], r1 * r2 * r1, r2 * r1 * r2)
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_corrupted_r_fails_morphism_rows_by_position_and_generator(
+        monkeypatch, field):
+    bad = _double_11(build_r(2, field), field)
+    monkeypatch.setattr(rmatrix, "build_r", lambda n, f: bad)
+    report = check_module_morphism(2, 3, field)
+    # only e1 and f1 move v1 x v1; the diagonal generators still commute
+    assert _failed(report) == {("morphism", (pos, g))
+                               for pos in (1, 2) for g in ("e1", "f1")}
+    assert len(report.checks) == 2 * 6
+    row = next(c for c in report.failures() if c.indices == (2, "e1"))
+    i2 = Matrix.identity(2, field.one)
+    rp, g = i2.kron(bad), tensor_power_rep(2, 3, field).gens["e1"]
+    _assert_first_difference(row, rp * g, g * rp)
 
 
 @pytest.mark.parametrize("corrupt", [_scale_b, _negate_a_exchange])
 def test_spectral_checks_reject_a_corrupted_r_z(monkeypatch, corrupt):
-    assert check_ybe_spectral(2, sym) and check_ybe_spectral(2, smp)
-    assert jimbo_compare(2)
+    assert check_ybe_spectral(2, sym).ok and check_ybe_spectral(2, smp).ok
+    assert jimbo_compare(2).ok
     true_r_z = rmatrix.build_r_z
     monkeypatch.setattr(rmatrix, "build_r_z",
                         lambda n, f: corrupt(true_r_z(n, f), f))
-    assert not check_ybe_spectral(2, sym)
-    assert not check_ybe_spectral(2, smp)
-    assert not jimbo_compare(2)
+    assert not check_ybe_spectral(2, sym).ok
+    assert not check_ybe_spectral(2, smp).ok
+    assert not jimbo_compare(2).ok
+
+
+def test_scaled_b_fails_every_grid_point_and_jimbo_b(monkeypatch):
+    true_r_z = rmatrix.build_r_z
+    monkeypatch.setattr(rmatrix, "build_r_z",
+                        lambda n, f: _scale_b(true_r_z(n, f), f))
+    grid = (1, 2, 3, 5)
+    for field in (sym, smp):
+        report = check_ybe_spectral(2, field)
+        assert _failed(report) == {("ybe", (z, w)) for z in grid
+                                   for w in grid}
+        assert all(c.witness is not None for c in report.checks)
+    report = jimbo_compare(2)
+    assert _failed(report) == {("jimbo:B", (2,))}
+    # B(1, 1) = -r s^-1 specializes to -q^2, doubled here
+    q = sym.r
+    assert report.failures()[0].witness == {
+        "witness_basis_index": 1, "lhs": {1: -(q * q) * sym.from_fraction(2)},
+        "rhs": {1: -(q * q)}}
+
+
+def test_negated_a_exchange_fails_jimbo_a(monkeypatch):
+    true_r_z = rmatrix.build_r_z
+    monkeypatch.setattr(rmatrix, "build_r_z",
+                        lambda n, f: _negate_a_exchange(true_r_z(n, f), f))
+    report = jimbo_compare(2)
+    assert _failed(report) == {("jimbo:A", (2,))}
+    # column v1 x v2 = 2 holds the exchange entry (3, 2) = r -> q
+    q = sym.r
+    assert report.failures()[0].witness == {
+        "witness_basis_index": 2, "lhs": {3: -q}, "rhs": {3: q}}
