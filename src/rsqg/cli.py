@@ -1,7 +1,8 @@
 """Command line interface: construct objects, run checks, emit JSON.
 
-Every check returns a CheckReport, each verify subcommand is one entry
-of the _VERIFY table, and all checks leave through _emit_report.  Output
+Every check takes the object it certifies and returns a CheckReport;
+each verify subcommand is one entry of the _VERIFY table, which builds
+that object, and all checks leave through _emit_report.  Output
 is deterministic JSON (entries pre-sorted, fixed key order).  Exit codes:
 0 all requested checks pass, 1 a verification failed (the report is still
 emitted), 2 invalid configuration (a malformed rational, an option the
@@ -22,8 +23,9 @@ from .rmatrix import (InternalMismatch, build_r, build_r_z,
                       check_module_morphism, check_ybe_spectral,
                       jimbo_compare)
 from .scalars import SampledField, SymbolicField
-from .uqrs import (check_defining_relations, hopf_antipode_check, natural_rep,
-                   tensor_power_rep, weight_spaces)
+from .uqrs import (InvalidPower, check_defining_relations,
+                   hopf_antipode_check, natural_rep, tensor_power_rep,
+                   weight_spaces)
 from .wedge import (WellDefinednessFailure, build_wedge_module,
                     spectral_projector_check, verify_fundamental)
 
@@ -33,10 +35,8 @@ def _add_common(p, with_k=False, k_default=None):
     if with_k:
         p.add_argument("-k", type=int, default=k_default,
                        help="tensor power / wedge degree")
-    p.add_argument("--mode", choices=("sampled", "symbolic"), default=None,
-                   help="scalar field (default sampled)")
     p.add_argument("--symbolic", action="store_true",
-                   help="shorthand for --mode symbolic")
+                   help="compute in Q(r, s) instead of at sampled (r, s)")
     p.add_argument("--r", type=_rational, metavar="RAT",
                    help="sampled value of r (default 2)")
     p.add_argument("--s", type=_rational, metavar="RAT",
@@ -54,16 +54,16 @@ def _rational(text):
 
 
 def _field(args):
-    """The scalar field of the options; verify jimbo runs in Q(r, s) only."""
+    """The scalar field of the options.  Q(r, s), for --symbolic and for
+    verify jimbo, has no sampled values, so it takes no --r or --s."""
     jimbo = args.command == "verify" and args.what == "jimbo"
-    if jimbo and (args.r is not None or args.s is not None
-                  or args.mode == "sampled"):
-        raise ValueError("verify jimbo runs in Q(r, s); it takes no --r, "
-                         "--s or --mode sampled")
-    if jimbo or args.symbolic or args.mode == "symbolic":
-        return SymbolicField()
-    return SampledField(2 if args.r is None else args.r,
-                        3 if args.s is None else args.s)
+    if not (jimbo or args.symbolic):
+        return SampledField(2 if args.r is None else args.r,
+                            3 if args.s is None else args.s)
+    if args.r is not None or args.s is not None:
+        who = "verify jimbo" if jimbo else "--symbolic"
+        raise ValueError(f"{who} runs in Q(r, s); it takes no --r or --s")
+    return SymbolicField()
 
 
 def _emit(obj, path):
@@ -75,11 +75,11 @@ def _emit(obj, path):
         sys.stdout.write(text)
 
 
-def _emit_report(name, args, mode, field, report, rows=True, **extra):
+def _emit_report(name, args, mode, report, rows=True, **extra):
     """Emit the verdict, with the rows if asked; return the exit code."""
     obj = {"check": name, "n": args.n, **extra, "mode": mode, "ok": report.ok}
     if rows:
-        obj["checks"] = report.to_json(field)
+        obj["checks"] = report.to_json()
     _emit(obj, args.o)
     return 0 if report.ok else 1
 
@@ -120,7 +120,7 @@ def build_parser():
     return ap
 
 
-def _cmd_rep(args, field, mode):
+def _cmd_rep(args, field):
     if args.rep_command == "natural":
         _emit(natural_rep(args.n, field).to_json(), args.o)
         return 0
@@ -128,64 +128,68 @@ def _cmd_rep(args, field, mode):
         _emit(tensor_power_rep(args.n, args.k, field).to_json(), args.o)
         return 0
     report = check_defining_relations(tensor_power_rep(args.n, args.k, field))
-    return _emit_report("relations", args, mode, field, report, k=args.k)
+    return _emit_report("relations", args, field.mode, report, k=args.k)
 
 
-def _cmd_rmatrix(args, field, mode):
+def _cmd_rmatrix(args, field):
     if args.spectral:
-        _emit(build_r_z(args.n, field).to_json(field), args.o)
+        _emit(build_r_z(args.n, field).to_json(), args.o)
     elif args.z is not None:
         z = field.from_fraction(args.z)
-        _emit(build_r_z(args.n, field).at(z).to_json(field), args.o)
+        _emit(build_r_z(args.n, field).at(z).to_json(), args.o)
     else:
-        _emit(build_r(args.n, field).to_json(field), args.o)
+        _emit(build_r(args.n, field).to_json(), args.o)
     return 0
 
 
-# verify subcommand -> (its check on (args, field), whether to print rows).
-# The R-matrix checks print only the verdict: golden files and perfbench's
-# check_verdict_json pin that object.
+# verify subcommand -> (its check of the object built from (args, field),
+# whether to print rows).  The R-matrix checks print only the verdict:
+# golden files and perfbench's check_verdict_json pin that object.
 _VERIFY = {
-    "ybe": (lambda a, f: check_ybe_spectral(a.n, f), False),
-    "braid": (lambda a, f: check_braid_constant(a.n, f), False),
-    "minpoly": (lambda a, f: check_min_poly(a.n, f), False),
-    "morphism": (lambda a, f: check_module_morphism(a.n, a.k, f), False),
+    "ybe": (lambda a, f: check_ybe_spectral(build_r_z(a.n, f), f), False),
+    "braid": (lambda a, f: check_braid_constant(build_r(a.n, f), f), False),
+    "minpoly": (lambda a, f: check_min_poly(build_r(a.n, f), f), False),
+    "morphism": (lambda a, f: check_module_morphism(
+        build_r(a.n, f), tensor_power_rep(a.n, a.k, f)), False),
     "hopf": (lambda a, f: hopf_antipode_check(natural_rep(a.n, f)), True),
-    "jimbo": (lambda a, f: jimbo_compare(a.n), False),
-    "prop41": (lambda a, f: spectral_projector_check(a.n, f), True),
+    "jimbo": (lambda a, f: jimbo_compare(build_r_z(a.n, f)), False),
+    "prop41": (lambda a, f: spectral_projector_check(build_r_z(a.n, f), f),
+               True),
 }
 
 
-def _cmd_verify(args, field, mode):
+def _cmd_verify(args, field):
     what = args.what
     if what != "morphism" and args.k is not None:
         raise ValueError(f"verify {what} takes no -k; only verify morphism "
                          "has a tensor power")
     if args.k is None:
         args.k = 2  # the morphism check's default tensor power
+    if args.k < 2:
+        # here, as tensor_power_rep would reject k = 0 with another message
+        raise InvalidPower("module morphism check needs k >= 2")
     check, rows = _VERIFY[what]
     extra = {"k": args.k} if what == "morphism" else {}
-    return _emit_report(what, args, mode, field, check(args, field),
+    return _emit_report(what, args, field.mode, check(args, field),
                         rows=rows, **extra)
 
 
-def _cmd_wedge(args, field, mode):
+def _cmd_wedge(args, field):
     mod = build_wedge_module(args.n, args.k, field)
     if args.action == "verify":
-        report = verify_fundamental(args.n, args.k, field, module=mod)
-        return _emit_report("fundamental", args, mode, field, report,
-                            k=args.k)
+        return _emit_report("fundamental", args, field.mode,
+                            verify_fundamental(mod), k=args.k)
     _emit(mod.to_json(), args.o)
     return 0
 
 
-def _cmd_weights(args, field, mode):
+def _cmd_weights(args, field):
     rep = tensor_power_rep(args.n, args.k, field)
     spaces = weight_spaces(rep)
     rows = [{"weight": list(w.coords), "dim": sp.dim}
             for w, sp in sorted(spaces.items(),
                                 key=lambda kv: kv[0].coords, reverse=True)]
-    _emit({"n": args.n, "k": args.k, "mode": mode, "dim": rep.dim,
+    _emit({"n": args.n, "k": args.k, "mode": field.mode, "dim": rep.dim,
            "weights": rows}, args.o)
     return 0
 
@@ -203,21 +207,15 @@ def _attach_negative_rationals(argv):
     return out
 
 
+_COMMANDS = {"rep": _cmd_rep, "rmatrix": _cmd_rmatrix, "verify": _cmd_verify,
+             "wedge": _cmd_wedge, "weights": _cmd_weights}
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_rationals(argv))
     try:
-        field = _field(args)
-        mode = field.mode
-        if args.command == "rep":
-            return _cmd_rep(args, field, mode)
-        if args.command == "rmatrix":
-            return _cmd_rmatrix(args, field, mode)
-        if args.command == "verify":
-            return _cmd_verify(args, field, mode)
-        if args.command == "wedge":
-            return _cmd_wedge(args, field, mode)
-        return _cmd_weights(args, field, mode)
+        return _COMMANDS[args.command](args, _field(args))
     except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2

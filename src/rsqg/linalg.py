@@ -174,11 +174,11 @@ class Matrix:
                     del out[i]
         return out
 
-    def to_json(self, field):
+    def to_json(self):
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[i, j, field.format(self.entries[(i, j)])]
+            "entries": [[i, j, str(self.entries[(i, j)])]
                         for (i, j) in sorted(self.entries)],
         }
 

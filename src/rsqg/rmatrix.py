@@ -9,6 +9,7 @@ Yang-Baxterization R(z) = R - z r s^{-1} R^{-1} applies.  The spectral
 matrix is stored as the pair (A, B) with R(z) = A + z B; identities that
 are polynomial in the spectral parameters are certified by evaluating on
 a grid larger than the degree bounds, which is exact, not probabilistic.
+Each check takes the operator it certifies and reads the rank from it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import math
 
 from .linalg import Matrix, invert, tensor_index
-from .scalars import SymbolicField, specialize_jimbo
-from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank, _compare,
-                   tensor_power_rep)
+from .scalars import RatFunc, SymbolicField, specialize_jimbo
+from .uqrs import CheckItem, CheckReport, InvalidPower, InvalidRank, _compare
 
 
 class InternalMismatch(AssertionError):
@@ -69,9 +69,8 @@ class SpectralRMatrix:
     def at(self, z):
         return self.A + self.B.scale(z)
 
-    def to_json(self, field):
-        return {"n": self.n, "A": self.A.to_json(field),
-                "B": self.B.to_json(field)}
+    def to_json(self):
+        return {"n": self.n, "A": self.A.to_json(), "B": self.B.to_json()}
 
     def __repr__(self):
         return f"SpectralRMatrix(n={self.n})"
@@ -85,11 +84,17 @@ def yang_baxterize(R, lam1, lam2, field):
     """
     if not lam1 or not lam2:
         raise ValueError("eigenvalues must be nonzero")
-    n = math.isqrt(R.rows)
-    if R.rows != R.cols or n * n != R.rows:
-        raise InvalidRank("operator does not act on a tensor square")
+    n = _factor_dim(R)
     rinv = invert(R, field)
     return SpectralRMatrix(n, R.scale(lam2**-1), rinv.scale(lam1))
+
+
+def _factor_dim(op):
+    """dim V for an operator on V x V; InvalidRank for any other shape."""
+    n = math.isqrt(op.rows)
+    if op.rows != op.cols or n * n != op.rows:
+        raise InvalidRank("operator does not act on a tensor square")
+    return n
 
 
 def _direct_r_z(n, field):
@@ -145,38 +150,36 @@ def build_r_z(n, field):
     return direct
 
 
-def _padded(mat, pos, count, n, one):
-    """identity^(pos-1) x mat x identity^(count-pos) on V^{x count} factors,
-    where mat acts on two adjacent factors starting at pos."""
+def _padded(mat, pos, count, one):
+    """I^(pos-1) x mat x I^(count-pos-1) on V^{x count}, for mat on V x V."""
+    n = _factor_dim(mat)
     left = Matrix.identity(n**(pos - 1), one)
     right = Matrix.identity(n**(count - pos - 1), one)
     return left.kron(mat).kron(right)
 
 
-def check_braid_constant(n, field):
-    """Braid relation on V^{x3} and far commutation on V^{x4}."""
-    R = build_r(n, field)
-    one = field.one
-    r1 = _padded(R, 1, 3, n, one)
-    r2 = _padded(R, 2, 3, n, one)
+def check_braid_constant(R, field):
+    """Braid relation on V^{x3} and far commutation on V^{x4} for an
+    operator R on V x V."""
+    r1 = _padded(R, 1, 3, field.one)
+    r2 = _padded(R, 2, 3, field.one)
     braid = _compare("braid", (1, 2), r1 * r2 * r1, r2 * r1 * r2)
-    r1 = _padded(R, 1, 4, n, one)
-    r3 = _padded(R, 3, 4, n, one)
+    r1 = _padded(R, 1, 4, field.one)
+    r3 = _padded(R, 3, 4, field.one)
     return CheckReport([braid, _compare("far commutation", (1, 3),
                                         r1 * r3, r3 * r1)])
 
 
-def check_ybe_spectral(n, field):
+def check_ybe_spectral(rz, field):
     """Spectral Yang-Baxter equation R1(z) R2(zw) R1(w) = R2(w) R1(zw) R2(z).
 
     Entries of both sides are polynomials of degree at most 2 in z and in
     w separately, so agreement (one row per point) on the grid
     {1, 2, 3, 5}^2 of distinct points proves the identity exactly.
     """
-    rz = build_r_z(n, field)
     grid = (1, 2, 3, 5)
     # R(t) at positions 1 and 2 for t = zw; 1 is in the grid, so t = z, w too
-    rmat = {(pos, t): _padded(rz.at(field.from_fraction(t)), pos, 3, n,
+    rmat = {(pos, t): _padded(rz.at(field.from_fraction(t)), pos, 3,
                               field.one)
             for pos in (1, 2) for t in {z * w for z in grid for w in grid}}
     return CheckReport(
@@ -185,15 +188,15 @@ def check_ybe_spectral(n, field):
         for z in grid for w in grid)
 
 
-def check_min_poly(n, field):
+def check_min_poly(R, field):
     """Minimal polynomial of R on V x V is exactly (t - 1)(t + r s^{-1}).
 
     Checks annihilation, that neither linear factor annihilates alone,
     and the equivalent quadratic identity R^2 = (1 - rs^{-1})R + rs^{-1}I.
     """
+    n = _factor_dim(R)
     if n < 2:
         raise InvalidRank("minimal polynomial check needs n >= 2")
-    R = build_r(n, field)
     rs = field.r * field.s**-1
     ident = Matrix.identity(n * n, field.one)
     low, high = R - ident, R + ident.scale(rs)
@@ -205,29 +208,34 @@ def check_min_poly(n, field):
                  R.scale(field.one - rs) + ident.scale(rs))])
 
 
-def check_module_morphism(n, k, field):
-    """R at every adjacent position commutes with every generator on the
-    k-th tensor power of V; one row per (position, generator)."""
+def check_module_morphism(R, rep):
+    """R, an operator on V x V, at every adjacent position of rep = V^{x k}
+    commutes with every generator; one row per (position, generator)."""
+    n = _factor_dim(R)
+    k = round(math.log(rep.dim, n)) if n > 1 and rep.dim else 1
+    if n**k != rep.dim:
+        raise InvalidRank(f"rep is no tensor power of V: {rep.dim} != {n}^{k}")
     if k < 2:
         raise InvalidPower("module morphism check needs k >= 2")
-    rep = tensor_power_rep(n, k, field)
-    R = build_r(n, field)
     checks = []
     for pos in range(1, k):
-        rp = _padded(R, pos, k, n, field.one)
+        rp = _padded(R, pos, k, rep.field.one)
         for name in rep.generator_names():
             g = rep.gens[name]
             checks.append(_compare("morphism", (pos, name), rp * g, g * rp))
     return CheckReport(checks)
 
 
-def jimbo_compare(n):
-    """The substitution r -> q, s -> q^{-1} turns R(z) into the one-parameter
-    R-matrix (1 - zq^2) sum E_ii x E_ii + (1 - z)q sum_{i != j} E_ij x E_ji
-    + (1 - q^2)(sum_{i>j} + z sum_{i<j}) E_ii x E_jj; compared entrywise,
-    with q written as r.  Rows jimbo:A and jimbo:B compare the two parts."""
+def jimbo_compare(rz):
+    """The substitution r -> q, s -> q^{-1} turns R(z) over Q(r, s) into the
+    one-parameter R-matrix (1 - zq^2) sum E_ii x E_ii + (1 - z)q
+    sum_{i != j} E_ij x E_ji + (1 - q^2)(sum_{i>j} + z sum_{i<j})
+    E_ii x E_jj; compared entrywise, with q written as r.  Rows jimbo:A and
+    jimbo:B compare the two parts.  A sampled R(z) is a ValueError."""
+    if not all(isinstance(v, RatFunc) for v in rz.A.entries.values()):
+        raise ValueError("jimbo_compare needs R(z) over Q(r, s)")
+    n = rz.n
     field = SymbolicField()
-    rz = build_r_z(n, field)
     q = field.r
     one = field.one
     diag = one - q * q

@@ -572,9 +572,9 @@ def genericity_check(r0, s0):
 
 
 class _Field:
-    """What both scalar fields share: the constants, r^a s^b memoized per
-    instance (the tensor-power action asks for the same few powers many
-    times), and printing."""
+    """What both scalar fields share: the constants and r^a s^b memoized
+    per instance (the tensor-power action asks for the same few powers many
+    times).  Values of both fields print with str."""
 
     def __init__(self, zero, one, r, s):
         self.zero = zero
@@ -588,9 +588,6 @@ class _Field:
         if val is None:
             val = self._rs_powers[(a, b)] = self.r**a * self.s**b
         return val
-
-    def format(self, x):
-        return str(x)
 
 
 class SymbolicField(_Field):

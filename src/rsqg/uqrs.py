@@ -72,16 +72,15 @@ class CheckReport:
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def to_json(self, field):
+    def to_json(self):
         out = []
         for c in self.checks:
             row = {"relation": c.name, "indices": list(c.indices), "ok": c.ok}
             if c.witness is not None:
                 row["witness_basis_index"] = c.witness["witness_basis_index"]
-                row["lhs"] = {str(i): field.format(v)
-                              for i, v in sorted(c.witness["lhs"].items())}
-                row["rhs"] = {str(i): field.format(v)
-                              for i, v in sorted(c.witness["rhs"].items())}
+                for side in ("lhs", "rhs"):
+                    row[side] = {str(i): str(v)
+                                 for i, v in sorted(c.witness[side].items())}
             out.append(row)
         return out
 
@@ -168,7 +167,7 @@ class Representation:
         return {
             "n": self.n,
             "dim": self.dim,
-            "generators": {name: self.gens[name].to_json(self.field)
+            "generators": {name: self.gens[name].to_json()
                            for name in self.generator_names()},
         }
 

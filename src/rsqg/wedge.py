@@ -15,7 +15,8 @@ of the live components, which are exactly the strictly increasing index
 tuples, so the quotient basis is the familiar v_{i1} ^ ... ^ v_{ik} with
 i1 < ... < ik and dimension C(n, k).  The gain from a tuple to its
 representative is its straightening coefficient; it is a field value, so
-a special sampled point cannot change a verdict unseen.
+a special sampled point cannot change a verdict unseen.  The checks
+take what they certify: an R(z), or a QuotientModule with its n, k, field.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from itertools import combinations
 
 from .linalg import (Matrix, QuotientData, Subspace, _Echelon,
                      kernel_image_rank, tensor_index, tensor_tuple)
-from .rmatrix import build_r_z
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    NonDiagonalAction, Representation, Weight, _content,
                    _generator_names, check_defining_relations, tensor_action,
@@ -56,12 +56,12 @@ def alt2(n, field):
     return Subspace.from_vectors(n * n, vecs)
 
 
-def spectral_projector_check(n, field):
+def spectral_projector_check(rz, field):
     """The special evaluations of R(z) cut out the two squares:
     Im R(rs^{-1}) = S2 = Ker R(r^{-1}s) and Ker R(rs^{-1}) = Alt2 = Im R(r^{-1}s)."""
+    n = rz.n
     if n < 2:
         raise InvalidRank("projector check needs n >= 2")
-    rz = build_r_z(n, field)
     rs = field.r * field.s**-1
     s2 = sym2(n, field)
     a2 = alt2(n, field)
@@ -191,7 +191,7 @@ def _induced_generator(field, n, k, qd, name):
     for t, img in enumerate(images, 1):
         want = mat.apply(qd.projection.col(t))
         if img != want:
-            lhs, rhs = ("{" + ", ".join(f"{i}: {field.format(v)}"
+            lhs, rhs = ("{" + ", ".join(f"{i}: {v}"
                                         for i, v in sorted(vec.items())) + "}"
                         for vec in (img, want))
             raise WellDefinednessFailure(
@@ -231,8 +231,7 @@ class QuotientModule:
             "k": self.k,
             "dim": self.dim,
             "labels": [list(t) for t in self.labels],
-            "generators": {name: self.induced.gens[name].to_json(self.field)
-                           for name in self.induced.generator_names()},
+            "generators": self.induced.to_json()["generators"],
         }
 
     def __repr__(self):
@@ -272,17 +271,15 @@ def straighten(n, k, tup, field):
     return _straighten(n, k, field, qd, labels, tup)
 
 
-def verify_fundamental(n, k, field, module=None):
-    """Check that the k-th wedge module is the fundamental module:
-    the coset of v_1 x ... x v_k is a highest weight vector with weight
+def verify_fundamental(mod):
+    """Check that the k-th wedge module mod is the fundamental module: the
+    coset of v_1 x ... x v_k is a highest weight vector with weight
     character of eps_1 + ... + eps_k, the dimension is C(n, k), weights
     are the k-subsets of {eps_i} each with multiplicity one, and the f_i
     generate everything from the highest vector."""
-    if n < 2:
-        raise InvalidRank("rank parameter n must be at least 2")
+    n, k, field = mod.n, mod.k, mod.field
     if not 1 <= k <= n:
         raise InvalidPower("fundamental module verification needs 1 <= k <= n")
-    mod = module if module is not None else build_wedge_module(n, k, field)
     ind = mod.induced
     checks = []
     want = math.comb(n, k)

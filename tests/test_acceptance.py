@@ -11,8 +11,8 @@ from rsqg import (SampledField, SymbolicField, build_r, build_r_z,
                   check_defining_relations, check_min_poly,
                   check_module_morphism, check_ybe_spectral,
                   hopf_antipode_check, jimbo_compare, natural_rep,
-                  spectral_projector_check, straighten, verify_fundamental,
-                  wedge_dimension, yang_baxterize)
+                  spectral_projector_check, straighten, tensor_power_rep,
+                  verify_fundamental, wedge_dimension, yang_baxterize)
 from rsqg.rmatrix import _direct_r_z, _linear_r_z
 
 SAMPLED_PAIRS = ((2, 3), (3, 5), (5, 2))
@@ -40,15 +40,16 @@ def test_criterion_01_defining_relations():
 
 def test_criterion_02_minimal_polynomial():
     sym = SymbolicField()
-    ok = all(check_min_poly(n, sym).ok for n in (2, 3, 4))
+    ok = all(check_min_poly(build_r(n, sym), sym).ok for n in (2, 3, 4))
     _stamp(2, "minimal polynomial (t - 1)(t + rs^-1), symbolic n = 2..4", ok)
 
 
 def test_criterion_03_braid_relations():
     sym = SymbolicField()
-    ok = all(check_braid_constant(n, sym).ok for n in (2, 3))
-    ok = ok and all(check_braid_constant(4, SampledField(r0, s0)).ok
-                    for r0, s0 in SAMPLED_PAIRS)
+    ok = all(check_braid_constant(build_r(n, sym), sym).ok for n in (2, 3))
+    for r0, s0 in SAMPLED_PAIRS:
+        field = SampledField(r0, s0)
+        ok = ok and check_braid_constant(build_r(4, field), field).ok
     _stamp(3, "braid relation and far commutation on V^3, V^4", ok)
 
 
@@ -62,9 +63,10 @@ def test_criterion_04_spectral_ybe():
     # proves the identity for all z, w.
     t0 = time.monotonic()
     sym = SymbolicField()
-    ok = all(check_ybe_spectral(n, sym).ok for n in (2, 3))
-    ok = ok and all(check_ybe_spectral(4, SampledField(r0, s0)).ok
-                    for r0, s0 in SAMPLED_PAIRS)
+    ok = all(check_ybe_spectral(build_r_z(n, sym), sym).ok for n in (2, 3))
+    for r0, s0 in SAMPLED_PAIRS:
+        field = SampledField(r0, s0)
+        ok = ok and check_ybe_spectral(build_r_z(4, field), field).ok
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     _stamp(4, f"spectral YBE on the 4x4 grid ({elapsed:.2f}s, target < 60s)", ok)
@@ -87,13 +89,15 @@ def test_criterion_05_spectral_constructions_agree():
 
 
 def test_criterion_06_jimbo_specialization():
-    ok = jimbo_compare(2).ok and jimbo_compare(3).ok
+    sym = SymbolicField()
+    ok = all(jimbo_compare(build_r_z(n, sym)).ok for n in (2, 3))
     _stamp(6, "r -> q, s -> 1/q specialization is the one-parameter R(z)", ok)
 
 
 def test_criterion_07_spectral_projectors():
     sym = SymbolicField()
-    ok = all(spectral_projector_check(n, sym).ok for n in (2, 3, 4))
+    ok = all(spectral_projector_check(build_r_z(n, sym), sym).ok
+             for n in (2, 3, 4))
     _stamp(7, "Im/Ker of R(rs^-1) and R(r^-1 s) are the two squares", ok)
 
 
@@ -122,16 +126,15 @@ def test_criterion_09_fundamental_modules():
     built = [(n, k) for n in range(2, 6) for k in range(1, n + 1)]
     built += [(6, 1), (6, 2), (6, 3)]
     for n, k in built:
-        module = build_wedge_module(n, k, field)
-        report = verify_fundamental(n, k, field, module=module)
-        ok = ok and report.ok
+        ok = ok and verify_fundamental(build_wedge_module(n, k, field)).ok
     _stamp(9, f"highest vector, weights, and f-cyclicity on {len(built)} "
               "wedge modules", ok)
 
 
 def test_criterion_10_module_morphism():
     sym = SymbolicField()
-    ok = all(check_module_morphism(n, k, sym).ok
+    ok = all(check_module_morphism(build_r(n, sym),
+                                   tensor_power_rep(n, k, sym)).ok
              for n in (2, 3) for k in (2, 3))
     _stamp(10, "R commutes with the module action on V^k, n, k <= 3", ok)
 

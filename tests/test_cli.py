@@ -3,7 +3,7 @@ import json
 import pytest
 
 import rsqg.cli as cli
-from rsqg import CheckItem, CheckReport
+from rsqg import CheckItem, CheckReport, Matrix
 
 
 def run_cli(capsys, *argv):
@@ -136,31 +136,50 @@ def test_verify_morphism_k_below_2_exits_2(capsys, k):
 
 
 @pytest.mark.parametrize("extra", [("--r", "5"), ("--s", "7"),
-                                   ("--mode", "sampled"),
+                                   ("--symbolic", "--s", "7"),
                                    ("--r", "2", "--s", "2")])
 def test_verify_jimbo_rejects_sampled_options(capsys, extra):
     code, out, err = run_cli(capsys, "verify", "jimbo", "-n", "3", *extra)
     assert (code, out) == (2, "")
-    assert "verify jimbo runs in Q(r, s)" in err
+    assert "verify jimbo runs in Q(r, s); it takes no --r or --s" in err
 
 
 def test_verify_jimbo_accepts_symbolic_mode(capsys):
     plain = run_cli(capsys, "verify", "jimbo", "-n", "2")
     assert json.loads(plain[1])["mode"] == "symbolic"
-    for extra in (("--symbolic",), ("--mode", "symbolic")):
-        assert run_cli(capsys, "verify", "jimbo", "-n", "2", *extra) == plain
+    assert run_cli(capsys, "verify", "jimbo", "-n", "2", "--symbolic") == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "minpoly", "-n", "2", "--symbolic", "--r", "2", "--s", "2"),
+    ("rep", "natural", "-n", "2", "--symbolic", "--r", "5"),
+    ("wedge", "-n", "3", "-k", "2", "--symbolic", "--s", "7")])
+def test_symbolic_rejects_sampled_values(capsys, argv):
+    # Q(r, s) has no sampled values; ignoring them hid r = s in the first
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--symbolic runs in Q(r, s); it takes no --r or --s" in err
+
+
+@pytest.mark.parametrize("extra", [("--mode", "symbolic", "--r", "5"),
+                                   ("--symbolic", "--mode", "sampled"),
+                                   ("--mode", "sampled")])
+def test_mode_option_is_gone(capsys, extra):
+    code, out, err = run_cli(capsys, "rep", "natural", "-n", "2", *extra)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --mode" in err
 
 
 def test_verify_minpoly_example(capsys):
     code, out, _ = run_cli(capsys, "verify", "minpoly", "-n", "3",
-                           "--mode", "sampled", "--r", "2", "--s", "3")
+                           "--r", "2", "--s", "3")
     assert code == 0
     assert json.loads(out)["mode"] == "sampled"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     failed = CheckReport([CheckItem("ybe", (1, 2), False)])
-    monkeypatch.setattr(cli, "check_ybe_spectral", lambda n, field: failed)
+    monkeypatch.setattr(cli, "check_ybe_spectral", lambda rz, field: failed)
     code, out, _ = run_cli(capsys, "verify", "ybe", "-n", "2")
     assert code == 1
     data = json.loads(out)
@@ -174,7 +193,7 @@ def test_verify_report_failure_exits_1(capsys, monkeypatch):
     class FakeReport:
         ok = False
 
-        def to_json(self, field):
+        def to_json(self):
             return [{"relation": "antipode:e", "indices": [1], "ok": False}]
 
     monkeypatch.setattr(cli, "hopf_antipode_check", lambda rep: FakeReport())
@@ -202,15 +221,10 @@ def test_wedge_well_definedness_failure_exits_3(capsys, monkeypatch):
 
 
 def test_r_matrix_route_mismatch_exits_3(capsys, monkeypatch):
-    import rsqg.rmatrix as rmatrix_mod
-    real = rmatrix_mod._direct_r_z
-
-    def corrupted(n, field):
-        rz = real(n, field)
-        two = field.from_fraction(2)
-        return rmatrix_mod.SpectralRMatrix(n, rz.A.scale(two), rz.B)
-
-    monkeypatch.setattr(rmatrix_mod, "_direct_r_z", corrupted)
+    # the direct route writes R(z) entry by entry and scales no matrix,
+    # so a faulty Matrix.scale corrupts only the other two routes
+    real = Matrix.scale
+    monkeypatch.setattr(Matrix, "scale", lambda self, c: real(self, c + c))
     code, out, err = run_cli(capsys, "verify", "ybe", "-n", "2")
     assert code == 3
     assert out == ""

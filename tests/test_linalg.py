@@ -78,7 +78,7 @@ def test_matrix_apply_matches_product():
 
 def test_matrix_json_sorted():
     m = Matrix(2, 2, {(2, 1): Fraction(3), (1, 2): Fraction(-1, 2)})
-    assert m.to_json(smp) == {
+    assert m.to_json() == {
         "rows": 2, "cols": 2,
         "entries": [[1, 2, "-1/2"], [2, 1, "3"]],
     }

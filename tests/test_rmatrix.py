@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-import rsqg.rmatrix as rmatrix
 from rsqg import (CheckReport, InvalidPower, InvalidRank, Matrix,
                   SampledField, SingularInput, SpectralRMatrix, SymbolicField,
                   build_r, build_r_inverse, build_r_z, check_braid_constant,
                   check_min_poly, check_module_morphism, check_ybe_spectral,
-                  invert, jimbo_compare, specialize_jimbo, tensor_index,
-                  tensor_power_rep, yang_baxterize)
+                  invert, jimbo_compare, natural_rep, specialize_jimbo,
+                  tensor_index, tensor_power_rep, yang_baxterize)
 
 sym = SymbolicField()
 smp = SampledField(2, 3)
@@ -95,16 +94,19 @@ def test_r_z_explicit_coefficients_n2():
 
 def test_braid_and_far_commutation():
     for n in (1, 2, 3):
-        assert check_braid_constant(n, sym).ok
-    assert check_braid_constant(4, smp).ok
+        assert check_braid_constant(build_r(n, sym), sym).ok
+    assert check_braid_constant(build_r(4, smp), smp).ok
+    # a 3 x 3 operator acts on no V x V; padding it would still multiply
+    with pytest.raises(InvalidRank, match="tensor square"):
+        check_braid_constant(Matrix.identity(3, smp.one), smp)
 
 
 def test_min_poly():
     for n in (2, 3, 4):
-        assert check_min_poly(n, sym).ok
-    assert check_min_poly(2, smp).ok
+        assert check_min_poly(build_r(n, sym), sym).ok
+    assert check_min_poly(build_r(2, smp), smp).ok
     with pytest.raises(InvalidRank):
-        check_min_poly(1, sym)
+        check_min_poly(build_r(1, sym), sym)
     # minimality: neither factor annihilates alone
     R = build_r(2, sym)
     ident = Matrix.identity(4, sym.one)
@@ -121,12 +123,12 @@ def test_quadratic_relation():
 
 
 def test_ybe_spectral():
-    report = check_ybe_spectral(2, sym)
+    report = check_ybe_spectral(build_r_z(2, sym), sym)
     assert report.ok
     grid = (1, 2, 3, 5)
     assert [c.indices for c in report.checks] == [(z, w) for z in grid
                                                   for w in grid]
-    assert check_ybe_spectral(3, smp).ok
+    assert check_ybe_spectral(build_r_z(3, smp), smp).ok
 
 
 def test_ybe_point_z_w_one():
@@ -145,10 +147,22 @@ def test_ybe_point_z_w_one():
 
 
 def test_module_morphism():
-    assert check_module_morphism(2, 2, sym).ok
-    assert check_module_morphism(3, 3, smp).ok
+    assert check_module_morphism(build_r(2, sym),
+                                 tensor_power_rep(2, 2, sym)).ok
+    assert check_module_morphism(build_r(3, smp),
+                                 tensor_power_rep(3, 3, smp)).ok
     with pytest.raises(InvalidPower):
-        check_module_morphism(2, 1, sym)
+        check_module_morphism(build_r(2, sym), tensor_power_rep(2, 1, sym))
+
+
+def test_module_morphism_rejects_the_natural_module():
+    # one tensor factor has no adjacent position, so zero rows would pass
+    for n in (2, 3):
+        with pytest.raises(InvalidPower, match="needs k >= 2"):
+            check_module_morphism(build_r(n, smp), natural_rep(n, smp))
+    # the module must be a tensor power of the space R acts on
+    with pytest.raises(InvalidRank, match="no tensor power"):
+        check_module_morphism(build_r(3, smp), tensor_power_rep(2, 2, smp))
 
 
 def test_jimbo_specialized_entries():
@@ -164,15 +178,19 @@ def test_jimbo_specialized_entries():
 
 def test_jimbo_compare():
     for n in (2, 3):
-        report = jimbo_compare(n)
+        report = jimbo_compare(build_r_z(n, sym))
         assert report.ok
         assert [(c.name, c.indices) for c in report.checks] == \
             [("jimbo:A", (n,)), ("jimbo:B", (n,))]
+    # the substitution r -> q, s -> q^-1 needs r and s as variables
+    with pytest.raises(ValueError, match=r"over Q\(r, s\)"):
+        jimbo_compare(build_r_z(2, smp))
 
 
 def test_check_report_has_no_truth_value():
     # a report read as a bool would pass `all(...)` vacuously
-    for report in (check_braid_constant(2, smp), CheckReport([])):
+    for report in (check_braid_constant(build_r(2, smp), smp),
+                   CheckReport([])):
         with pytest.raises(TypeError, match=r"read \.ok"):
             bool(report)
         with pytest.raises(TypeError):
@@ -205,9 +223,9 @@ def _negate_a_exchange(rz, field):
                            rz.B)
 
 
-def _constant_checks(field):
-    return (check_braid_constant(2, field), check_min_poly(2, field),
-            check_module_morphism(2, 2, field))
+def _constant_checks(R, field):
+    return (check_braid_constant(R, field), check_min_poly(R, field),
+            check_module_morphism(R, tensor_power_rep(2, 2, field)))
 
 
 def _failed(report):
@@ -224,19 +242,18 @@ def _assert_first_difference(row, lhs, rhs):
 
 @pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
 @pytest.mark.parametrize("corrupt", [_double_11, _flip_r_exchange])
-def test_constant_r_checks_reject_a_corrupted_r(monkeypatch, field, corrupt):
-    assert [c.ok for c in _constant_checks(field)] == [True, True, True]
-    true_r = rmatrix.build_r
-    monkeypatch.setattr(rmatrix, "build_r",
-                        lambda n, f: corrupt(true_r(n, f), f))
-    assert [c.ok for c in _constant_checks(field)] == [False, False, False]
+def test_constant_r_checks_reject_a_corrupted_r(field, corrupt):
+    R = build_r(2, field)
+    assert [c.ok for c in _constant_checks(R, field)] == [True, True, True]
+    bad = corrupt(R, field)
+    assert [c.ok for c in _constant_checks(bad, field)] == [False, False,
+                                                            False]
 
 
 @pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
-def test_flipped_exchange_fails_braid_with_a_witness(monkeypatch, field):
+def test_flipped_exchange_fails_braid_with_a_witness(field):
     bad = _flip_r_exchange(build_r(2, field), field)
-    monkeypatch.setattr(rmatrix, "build_r", lambda n, f: bad)
-    report = check_braid_constant(2, field)
+    report = check_braid_constant(bad, field)
     assert _failed(report) == {("braid", (1, 2))}
     i2 = Matrix.identity(2, field.one)
     r1, r2 = bad.kron(i2), i2.kron(bad)
@@ -244,44 +261,40 @@ def test_flipped_exchange_fails_braid_with_a_witness(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
-def test_corrupted_r_fails_morphism_rows_by_position_and_generator(
-        monkeypatch, field):
+def test_corrupted_r_fails_morphism_rows_by_position_and_generator(field):
     bad = _double_11(build_r(2, field), field)
-    monkeypatch.setattr(rmatrix, "build_r", lambda n, f: bad)
-    report = check_module_morphism(2, 3, field)
+    rep = tensor_power_rep(2, 3, field)
+    report = check_module_morphism(bad, rep)
     # only e1 and f1 move v1 x v1; the diagonal generators still commute
     assert _failed(report) == {("morphism", (pos, g))
                                for pos in (1, 2) for g in ("e1", "f1")}
     assert len(report.checks) == 2 * 6
     row = next(c for c in report.failures() if c.indices == (2, "e1"))
     i2 = Matrix.identity(2, field.one)
-    rp, g = i2.kron(bad), tensor_power_rep(2, 3, field).gens["e1"]
+    rp, g = i2.kron(bad), rep.gens["e1"]
     _assert_first_difference(row, rp * g, g * rp)
 
 
 @pytest.mark.parametrize("corrupt", [_scale_b, _negate_a_exchange])
-def test_spectral_checks_reject_a_corrupted_r_z(monkeypatch, corrupt):
-    assert check_ybe_spectral(2, sym).ok and check_ybe_spectral(2, smp).ok
-    assert jimbo_compare(2).ok
-    true_r_z = rmatrix.build_r_z
-    monkeypatch.setattr(rmatrix, "build_r_z",
-                        lambda n, f: corrupt(true_r_z(n, f), f))
-    assert not check_ybe_spectral(2, sym).ok
-    assert not check_ybe_spectral(2, smp).ok
-    assert not jimbo_compare(2).ok
+def test_spectral_checks_reject_a_corrupted_r_z(corrupt):
+    for field in (sym, smp):
+        rz = build_r_z(2, field)
+        assert check_ybe_spectral(rz, field).ok
+        assert not check_ybe_spectral(corrupt(rz, field), field).ok
+    rz = build_r_z(2, sym)
+    assert jimbo_compare(rz).ok
+    assert not jimbo_compare(corrupt(rz, sym)).ok
 
 
-def test_scaled_b_fails_every_grid_point_and_jimbo_b(monkeypatch):
-    true_r_z = rmatrix.build_r_z
-    monkeypatch.setattr(rmatrix, "build_r_z",
-                        lambda n, f: _scale_b(true_r_z(n, f), f))
+def test_scaled_b_fails_every_grid_point_and_jimbo_b():
     grid = (1, 2, 3, 5)
     for field in (sym, smp):
-        report = check_ybe_spectral(2, field)
+        report = check_ybe_spectral(_scale_b(build_r_z(2, field), field),
+                                    field)
         assert _failed(report) == {("ybe", (z, w)) for z in grid
                                    for w in grid}
         assert all(c.witness is not None for c in report.checks)
-    report = jimbo_compare(2)
+    report = jimbo_compare(_scale_b(build_r_z(2, sym), sym))
     assert _failed(report) == {("jimbo:B", (2,))}
     # B(1, 1) = -r s^-1 specializes to -q^2, doubled here
     q = sym.r
@@ -290,11 +303,8 @@ def test_scaled_b_fails_every_grid_point_and_jimbo_b(monkeypatch):
         "rhs": {1: -(q * q)}}
 
 
-def test_negated_a_exchange_fails_jimbo_a(monkeypatch):
-    true_r_z = rmatrix.build_r_z
-    monkeypatch.setattr(rmatrix, "build_r_z",
-                        lambda n, f: _negate_a_exchange(true_r_z(n, f), f))
-    report = jimbo_compare(2)
+def test_negated_a_exchange_fails_jimbo_a():
+    report = jimbo_compare(_negate_a_exchange(build_r_z(2, sym), sym))
     assert _failed(report) == {("jimbo:A", (2,))}
     # column v1 x v2 = 2 holds the exchange entry (3, 2) = r -> q
     q = sym.r

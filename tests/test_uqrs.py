@@ -68,7 +68,7 @@ def test_relation_failure_witness():
     item = next(c for c in report.failures() if c.name == "R2:we")
     assert item.witness is not None
     assert "witness_basis_index" in item.witness
-    json_rows = report.to_json(sym)
+    json_rows = report.to_json()
     failing = [row for row in json_rows if not row["ok"]]
     assert failing and "lhs" in failing[0] and "rhs" in failing[0]
 

@@ -6,9 +6,10 @@ from itertools import permutations
 import pytest
 
 import rsqg.wedge as wedge_mod
-from rsqg import (InvalidPower, InvalidRank, SampledField, Subspace,
-                  SymbolicField, Weight, WellDefinednessFailure, alt2,
-                  build_wedge_module, highest_weight_vectors, natural_rep,
+from rsqg import (InvalidPower, InvalidRank, SampledField, SpectralRMatrix,
+                  Subspace, SymbolicField, Weight, WellDefinednessFailure,
+                  alt2, build_r_z, build_wedge_module,
+                  highest_weight_vectors, natural_rep,
                   spectral_projector_check, straighten, sym2, tensor_index,
                   verify_fundamental, wedge_dimension, weight_spaces)
 
@@ -48,11 +49,23 @@ def test_sym2_alt2_explicit_n2():
 
 def test_spectral_projector_identities():
     for n in (2, 3, 4):
-        report = spectral_projector_check(n, sym)
+        report = spectral_projector_check(build_r_z(n, sym), sym)
         assert report.ok, [c.name for c in report.failures()]
-    assert spectral_projector_check(2, smp).ok
+    assert spectral_projector_check(build_r_z(2, smp), smp).ok
     with pytest.raises(InvalidRank):
-        spectral_projector_check(1, sym)
+        spectral_projector_check(build_r_z(1, sym), sym)
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_spectral_projector_check_rejects_a_scaled_b(field):
+    # A + 2zB is R(2z), which is invertible at z = rs^-1 and at z = r^-1 s:
+    # both images are everything and both kernels are zero
+    rz = build_r_z(2, field)
+    bad = SpectralRMatrix(2, rz.A, rz.B.scale(field.from_fraction(2)))
+    report = spectral_projector_check(bad, field)
+    assert {c.name for c in report.failures()} == {
+        "image R(rs^-1) = sym2", "kernel R(rs^-1) = alt2",
+        "kernel R(r^-1 s) = sym2", "image R(r^-1 s) = alt2"}
 
 
 def test_wedge_dimension_against_dense_oracle(monkeypatch):
@@ -246,35 +259,37 @@ def test_wedge_highest_weight_vector_unique():
 
 def test_verify_fundamental():
     for n, k in ((2, 1), (2, 2), (3, 2), (4, 2), (4, 4)):
-        report = verify_fundamental(n, k, smp)
+        report = verify_fundamental(build_wedge_module(n, k, smp))
         assert report.ok, (n, k, [c.name for c in report.failures()])
-    report = verify_fundamental(3, 2, sym)
+    report = verify_fundamental(build_wedge_module(3, 2, sym))
     assert report.ok
     # multiplicatively dependent parameters: r = s^2, and r = 1
-    assert verify_fundamental(3, 2, SampledField(4, 2)).ok
-    assert verify_fundamental(4, 3, SampledField(1, -3)).ok
+    for (n, k), field in (((3, 2), SampledField(4, 2)),
+                          ((4, 3), SampledField(1, -3))):
+        assert verify_fundamental(build_wedge_module(n, k, field)).ok
 
 
 def test_verify_fundamental_fails_on_a_wrong_weight_action():
     # a corrupted w1 is a failed "weights" row, not an exception
     mod = build_wedge_module(3, 2, smp)
     mod.induced.gens["w1"] = mod.induced.w(1).scale(smp.r)
-    report = verify_fundamental(3, 2, smp, module=mod)
+    report = verify_fundamental(mod)
     failed = {c.name for c in report.failures()}
     assert "weights are the k-subsets" in failed
     # the row names where: w1 on wedge basis vector 1 (v1 ^ v2, weight
     # eps_1 + eps_2) should act by r s but acts by r^2 s
-    row = next(r for r in report.to_json(smp)
+    row = next(r for r in report.to_json()
                if r["relation"] == "weights are the k-subsets")
     assert row["witness_basis_index"] == 1
     assert row["lhs"] == {"1": "12"} and row["rhs"] == {"1": "6"}
 
 
 def test_verify_fundamental_bounds():
+    # k > n builds the zero module, which is no fundamental module
+    with pytest.raises(InvalidPower, match="1 <= k <= n"):
+        verify_fundamental(build_wedge_module(2, 3, smp))
     with pytest.raises(InvalidPower):
-        verify_fundamental(2, 3, smp)
-    with pytest.raises(InvalidPower):
-        verify_fundamental(2, 0, smp)
+        build_wedge_module(2, 0, smp)
 
 
 def test_well_definedness_guard_fires_on_corruption(monkeypatch):

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from rsqg import (SampledField, genericity_check, tensor_power_rep,
-                  verify_fundamental, weight_spaces)
+from rsqg import (SampledField, build_wedge_module, genericity_check,
+                  tensor_power_rep, verify_fundamental, weight_spaces)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -26,4 +26,4 @@ def test_weights_at_admissible_pairs(pair, n, k):
         assert sp.dim == math.factorial(k) // math.prod(
             math.factorial(c) for c in w.coords)
     if k <= n:
-        assert verify_fundamental(n, k, field).ok
+        assert verify_fundamental(build_wedge_module(n, k, field)).ok
