@@ -1,14 +1,16 @@
 """Exact scalar arithmetic for the two-parameter deformation library.
 
 Symbolic computations run in the rational function field Q(r, s).  Elements
-are reduced fractions of sparse bivariate polynomials with a canonical
+are reduced fractions of sparse bivariate polynomials over Q with a canonical
 normalization (coprime numerator/denominator, denominator monic in graded
 lexicographic order with r before s), so structural equality coincides with
-field equality.  The gcds behind it run on integer coefficients: a
-primitive remainder sequence in Z[s][r], with the contents in Z[s] taken by
-the same sequence in one variable.  Sampled computations substitute fixed
-rationals r0, s0 subject to genericity constraints, and all scalars are
-plain Fractions.
+field equality.  Integral coefficients are stored as int and only the others
+as Fraction: the two mix exactly, and equal values hash alike.  Coefficients
+are divided only by _div, since int / int would be a float.  The gcds behind
+it run on integer coefficients: a primitive remainder sequence in Z[s][r],
+with the contents in Z[s] taken by the same sequence in one variable.
+Sampled computations substitute fixed rationals r0, s0 subject to genericity
+constraints, and all scalars are plain Fractions.
 
 The substitution r -> q, s -> 1/q, for comparison with the one-parameter
 theory, lands in the s-free part Q(r) of Q(r, s), with q written as r; the
@@ -35,6 +37,31 @@ class GenericityError(ValueError):
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _coef(c):
+    """A polynomial coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _fractional(terms):
+    """Whether some coefficient is a Fraction (integral or not)."""
+    for c in terms.values():
+        if type(c) is not int:
+            return True
+    return False
+
+
+def _div(a, b):
+    """Exact quotient of two coefficients (int / int would be a float)."""
+    if type(a) is int and type(b) is int:
+        q, m = divmod(a, b)
+        return Fraction(a, b) if m else q
+    return _coef(a / b)
 
 
 def _gl_key(m):
@@ -214,11 +241,11 @@ def _b_divexact(f, g):
         ma, mb = rm[0] - gm[0], rm[1] - gm[1]
         if ma < 0 or mb < 0:
             raise ArithmeticError("inexact bivariate division")
-        c = r[rm] / gc
+        c = _div(r[rm], gc)
         q[(ma, mb)] = c
         for (a, b), cc in g.items():
             k = (a + ma, b + mb)
-            v = r.get(k, _F0) - c * cc
+            v = r.get(k, 0) - c * cc
             if v:
                 r[k] = v
             else:
@@ -226,11 +253,16 @@ def _b_divexact(f, g):
     return q
 
 
-_ONE_TERMS = {(0, 0): _F1}
+_ONE_TERMS = {(0, 0): 1}
 
 
 class BiPoly:
-    """Sparse polynomial in r and s over Q; terms map (a, b) -> coefficient."""
+    """Sparse polynomial in r and s over Q; terms map (a, b) -> coefficient,
+    integral coefficients stored as int and the others as Fraction.
+
+    The constructors normalize each coefficient; a sum or product with a
+    non-integral coefficient may leave an integral Fraction, which the
+    reduction in RatFunc turns back into an int."""
 
     __slots__ = ("terms",)
 
@@ -242,10 +274,9 @@ class BiPoly:
                 a, b = int(m[0]), int(m[1])
                 if a < 0 or b < 0:
                     raise ValueError("negative exponent in polynomial term")
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                v = clean.get((a, b), _F0) + c
+                v = clean.get((a, b), 0) + _coef(c)
                 if v:
-                    clean[(a, b)] = v
+                    clean[(a, b)] = _coef(v)
                 else:
                     clean.pop((a, b), None)
         self.terms = clean
@@ -266,12 +297,12 @@ class BiPoly:
 
     @classmethod
     def const(cls, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _coef(c)
         return cls._raw({(0, 0): c} if c else {})
 
     @classmethod
     def term(cls, a, b, c=1):
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _coef(c)
         return cls._raw({(int(a), int(b)): c} if c else {})
 
     def __bool__(self):
@@ -291,7 +322,7 @@ class BiPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, _F0) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
@@ -301,7 +332,7 @@ class BiPoly:
     def __sub__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, _F0) - c
+            v = out.get(m, 0) - c
             if v:
                 out[m] = v
             else:
@@ -313,7 +344,7 @@ class BiPoly:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 m = (a1 + a2, b1 + b2)
-                v = out.get(m, _F0) + c1 * c2
+                v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
@@ -398,9 +429,11 @@ class RatFunc:
             nt = _b_divexact(nt, g)
             dt = _b_divexact(dt, g)
         lc = dt[max(dt, key=_gl_key)]
-        if lc != 1:
-            nt = {m: c / lc for m, c in nt.items()}
-            dt = {m: c / lc for m, c in dt.items()}
+        if lc != 1 or _fractional(nt) or _fractional(dt):
+            # _div also turns an integral Fraction, left by arithmetic
+            # with a non-integral one, back into an int
+            nt = {m: _div(c, lc) for m, c in nt.items()}
+            dt = {m: _div(c, lc) for m, c in dt.items()}
         self.num = BiPoly._raw(nt)
         self.den = BiPoly._raw(dt)
 
@@ -496,7 +529,10 @@ class RatFunc:
         else:
             base = self
         # powers of a reduced fraction stay reduced; den stays monic
-        return RatFunc._canonical(base.num**e, base.den**e)
+        num, den = base.num**e, base.den**e
+        if _fractional(num.terms) or _fractional(den.terms):
+            num, den = BiPoly(num.terms), BiPoly(den.terms)
+        return RatFunc._canonical(num, den)
 
     def evaluate(self, r0, s0):
         dv = self.den.evaluate(r0, s0)
@@ -530,7 +566,7 @@ def specialize_jimbo(f):
         out = {}
         for (a, b), c in terms.items():
             d = a - b
-            v = out.get(d, _F0) + c
+            v = out.get(d, 0) + c
             if v:
                 out[d] = v
             else:

@@ -68,11 +68,24 @@ def spectral_projector_check(rz, field):
     ker_rs, im_rs, _ = kernel_image_rank(rz.at(rs), field)
     ker_sr, im_sr, _ = kernel_image_rank(rz.at(rs**-1), field)
     return CheckReport([
-        CheckItem("image R(rs^-1) = sym2", (n,), im_rs == s2),
-        CheckItem("kernel R(rs^-1) = alt2", (n,), ker_rs == a2),
-        CheckItem("kernel R(r^-1 s) = sym2", (n,), ker_sr == s2),
-        CheckItem("image R(r^-1 s) = alt2", (n,), im_sr == a2),
+        _compare_subspaces("image R(rs^-1) = sym2", n, im_rs, s2),
+        _compare_subspaces("kernel R(rs^-1) = alt2", n, ker_rs, a2),
+        _compare_subspaces("kernel R(r^-1 s) = sym2", n, ker_sr, s2),
+        _compare_subspaces("image R(r^-1 s) = alt2", n, im_sr, a2),
     ])
+
+
+def _compare_subspaces(name, n, got, want):
+    """A failure names the first pivot where the canonical bases differ,
+    with the basis vector of each side there ({} where a side has none)."""
+    if got == want:
+        return CheckItem(name, (n,), True)
+    lhs = dict(zip(got.pivots, got.basis))
+    rhs = dict(zip(want.pivots, want.basis))
+    p = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i))
+    return CheckItem(name, (n,), False, {"witness_basis_index": p,
+                                         "lhs": lhs.get(p, {}),
+                                         "rhs": rhs.get(p, {})})
 
 
 def _sym2_specs(n, field):

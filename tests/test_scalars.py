@@ -5,7 +5,7 @@ import pytest
 
 from rsqg import (BiPoly, DenominatorVanishes, DivisionByZero, GenericityError,
                   RatFunc, SampledField, SymbolicField, genericity_check,
-                  specialize_jimbo)
+                  scalars, specialize_jimbo)
 
 from helpers import random_bipoly, random_ratfunc
 
@@ -168,6 +168,76 @@ def test_evaluate_and_denominator_vanishes():
     assert f.evaluate(Fraction(2), Fraction(3)) == Fraction(-1)
     with pytest.raises(DenominatorVanishes):
         f.evaluate(Fraction(2), Fraction(2))
+
+
+def assert_coefficient_types(f):
+    """Every coefficient of a reduced RatFunc is an int or a non-integral
+    Fraction: no float, and no Fraction with denominator 1."""
+    for c in (*f.num.terms.values(), *f.den.terms.values()):
+        integral_fraction = type(c) is Fraction and c.denominator == 1
+        assert type(c) in (int, Fraction) and not integral_fraction, (
+            f"{c!r} in {f}")
+
+
+def random_q_bipoly(rng):
+    # coefficients k/d with d in 1..3, so some are Fraction(k, 1)
+    return BiPoly([((rng.randint(0, 2), rng.randint(0, 2)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                   for _ in range(3)])
+
+
+def check_coefficient_types(rng, rounds=30):
+    """Random RatFunc arithmetic over Q, each result checked as it is made
+    (a float caught late would first break the next gcd)."""
+    half = Fraction(1, 2)
+    # p^2 has the integral coefficient 1/4 + 1/4 + 1/4 + 1/4 at r*s
+    p = BiPoly({(1, 0): half, (0, 1): half, (1, 1): half, (0, 0): half})
+    fixed = [lambda: RatFunc(BiPoly.term(1, 0, half)) * RatFunc(S + S),
+             lambda: RatFunc(p, R + BiPoly.const(2))**2,
+             lambda: RatFunc(R + S, p)**-2]
+    for make in fixed:
+        assert_coefficient_types(make())
+    for _ in range(rounds):
+        den = BiPoly.zero()
+        while not den:
+            den = random_q_bipoly(rng)
+        a = RatFunc(random_q_bipoly(rng), den)
+        assert_coefficient_types(a)
+        b = random_ratfunc(rng)
+        assert_coefficient_types(b)
+        ops = [lambda: a + b, lambda: a - b, lambda: a * b, lambda: a**3,
+               lambda: b * Fraction(2, 3), lambda: a + Fraction(1, 2)]
+        if a:
+            ops += [lambda: b / a, lambda: a**-2]
+        for op in ops:
+            assert_coefficient_types(op())
+
+
+def test_ratfunc_coefficients_are_int_or_non_integral_fraction():
+    check_coefficient_types(random.Random(7))
+    f = RatFunc(BiPoly.term(1, 0, 3), BiPoly.term(0, 1, 2))
+    assert f.num.terms == {(1, 0): Fraction(3, 2)}
+    assert type(f.den.terms[(0, 1)]) is int
+    assert BiPoly({(0, 0): Fraction(4, 2)}).terms == {(0, 0): 2}
+    halves = BiPoly([((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))])
+    assert type(halves.terms[(0, 0)]) is int
+    assert type(BiPoly.const(Fraction(4, 2)).terms[(0, 0)]) is int
+
+
+def test_coefficient_type_check_catches_a_float_division(monkeypatch):
+    # a float equals the Fraction it approximates, so only a type check
+    # sees it: with / in place of exact division, values still compare equal
+    monkeypatch.setattr(scalars, "_div", lambda a, b: a / b)
+    assert RatFunc(ONE, S + S).num == BiPoly.const(Fraction(1, 2))
+    with pytest.raises(AssertionError):
+        check_coefficient_types(random.Random(7))
+
+
+def test_evaluate_at_ints_returns_a_fraction():
+    for f in (RatFunc(R, S), RatFunc(R + S), RatFunc(ONE)):
+        assert type(f.evaluate(2, 3)) is Fraction
+    assert RatFunc(R, S).evaluate(2, 3) == Fraction(2, 3)
+    assert type(BiPoly.zero().evaluate(2, 3)) is Fraction
 
 
 def test_specialize_jimbo_basic_images():

@@ -51,6 +51,7 @@ def test_spectral_projector_identities():
     for n in (2, 3, 4):
         report = spectral_projector_check(build_r_z(n, sym), sym)
         assert report.ok, [c.name for c in report.failures()]
+        assert all(c.witness is None for c in report.checks)
     assert spectral_projector_check(build_r_z(2, smp), smp).ok
     with pytest.raises(InvalidRank):
         spectral_projector_check(build_r_z(1, sym), sym)
@@ -66,6 +67,19 @@ def test_spectral_projector_check_rejects_a_scaled_b(field):
     assert {c.name for c in report.failures()} == {
         "image R(rs^-1) = sym2", "kernel R(rs^-1) = alt2",
         "kernel R(r^-1 s) = sym2", "image R(r^-1 s) = alt2"}
+    # each witness is the first pivot where the computed (lhs) and expected
+    # (rhs) canonical bases differ: the full image has a pivot at every
+    # index, the zero kernel at none
+    one = field.one
+    w = {c.name: c.witness for c in report.checks}
+    assert w["image R(rs^-1) = sym2"] == {
+        "witness_basis_index": 2, "lhs": {2: one}, "rhs": {}}
+    assert w["kernel R(rs^-1) = alt2"] == {
+        "witness_basis_index": 3, "lhs": {}, "rhs": alt2(2, field).basis[0]}
+    assert w["kernel R(r^-1 s) = sym2"] == {
+        "witness_basis_index": 1, "lhs": {}, "rhs": {1: one}}
+    assert w["image R(r^-1 s) = alt2"] == {
+        "witness_basis_index": 1, "lhs": {1: one}, "rhs": {}}
 
 
 def test_wedge_dimension_against_dense_oracle(monkeypatch):
