@@ -38,6 +38,16 @@ def tensor_tuple(index, n, k):
     return tuple(out)
 
 
+def pair_placements(n, pos, count):
+    """V x V on factors (pos, pos + 1) of V^{x count}: index l goes to
+    place[l - 1] = o + (l - 1) * stride, one place per basis tuple of the
+    other factors, in lexicographic order grouped by the factors before pos."""
+    stride = n**(count - pos - 1)
+    block = n * n * stride
+    return [[range(o, o + block, stride) for o in range(a, a + stride)]
+            for a in range(1, n**count + 1, block)]
+
+
 class Matrix:
     """Sparse matrix with 1-based indices over any exact scalar type."""
 

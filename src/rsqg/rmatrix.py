@@ -9,14 +9,15 @@ Yang-Baxterization R(z) = R - z r s^{-1} R^{-1} applies.  The spectral
 matrix is stored as the pair (A, B) with R(z) = A + z B; identities that
 are polynomial in the spectral parameters are certified by evaluating on
 a grid larger than the degree bounds, which is exact, not probabilistic.
-Each check takes the operator it certifies and reads the rank from it.
+Each check takes the operator it certifies and reads the rank from it; on
+V^{x k} it copies R to each placement of V x V (linalg.pair_placements).
 """
 
 from __future__ import annotations
 
 import math
 
-from .linalg import Matrix, invert, tensor_index
+from .linalg import Matrix, invert, pair_placements, tensor_index
 from .scalars import RatFunc, SymbolicField, specialize_jimbo
 from .uqrs import CheckItem, CheckReport, InvalidPower, InvalidRank, _compare
 
@@ -150,27 +151,28 @@ def build_r_z(n, field):
     return direct
 
 
-def _padded(mat, pos, count, one):
+def _padded(mat, pos, count):
     """I^(pos-1) x mat x I^(count-pos-1) on V^{x count}, for mat on V x V."""
     n = _factor_dim(mat)
-    left = Matrix.identity(n**(pos - 1), one)
-    right = Matrix.identity(n**(count - pos - 1), one)
-    return left.kron(mat).kron(right)
+    ent = {(place[i - 1], place[j - 1]): v
+           for block in pair_placements(n, pos, count)
+           for (i, j), v in mat.entries.items() for place in block}
+    return Matrix(n**count, n**count, ent, _clean=True)
 
 
-def check_braid_constant(R, field):
+def check_braid_constant(R):
     """Braid relation on V^{x3} and far commutation on V^{x4} for an
     operator R on V x V."""
-    r1 = _padded(R, 1, 3, field.one)
-    r2 = _padded(R, 2, 3, field.one)
+    r1 = _padded(R, 1, 3)
+    r2 = _padded(R, 2, 3)
     braid = _compare("braid", (1, 2), r1 * r2 * r1, r2 * r1 * r2)
-    r1 = _padded(R, 1, 4, field.one)
-    r3 = _padded(R, 3, 4, field.one)
+    r1 = _padded(R, 1, 4)
+    r3 = _padded(R, 3, 4)
     return CheckReport([braid, _compare("far commutation", (1, 3),
                                         r1 * r3, r3 * r1)])
 
 
-def check_ybe_spectral(rz, field):
+def check_ybe_spectral(rz):
     """Spectral Yang-Baxter equation R1(z) R2(zw) R1(w) = R2(w) R1(zw) R2(z).
 
     Entries of both sides are polynomials of degree at most 2 in z and in
@@ -178,9 +180,9 @@ def check_ybe_spectral(rz, field):
     {1, 2, 3, 5}^2 of distinct points proves the identity exactly.
     """
     grid = (1, 2, 3, 5)
-    # R(t) at positions 1 and 2 for t = zw; 1 is in the grid, so t = z, w too
-    rmat = {(pos, t): _padded(rz.at(field.from_fraction(t)), pos, 3,
-                              field.one)
+    # R(t) at positions 1 and 2 for t = zw; 1 is in the grid, so t = z, w
+    # too, and an integer t scales the entries of either field
+    rmat = {(pos, t): _padded(rz.at(t), pos, 3)
             for pos in (1, 2) for t in {z * w for z in grid for w in grid}}
     return CheckReport(
         _compare("ybe", (z, w), rmat[1, z] * rmat[2, z * w] * rmat[1, w],
@@ -219,7 +221,7 @@ def check_module_morphism(R, rep):
         raise InvalidPower("module morphism check needs k >= 2")
     checks = []
     for pos in range(1, k):
-        rp = _padded(R, pos, k, rep.field.one)
+        rp = _padded(R, pos, k)
         for name in rep.generator_names():
             g = rep.gens[name]
             checks.append(_compare("morphism", (pos, name), rp * g, g * rp))

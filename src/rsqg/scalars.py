@@ -212,7 +212,15 @@ def _b_gcd(f, g):
     rational factor: an integer term dict, {(0, 0): 1} when coprime."""
     if len(f) == 1 or len(g) == 1:
         # a monomial divides a polynomial iff it divides every term
-        return {(min(a for a, _ in (*f, *g)), min(b for _, b in (*f, *g))): 1}
+        if len(f) != 1:
+            f, g = g, f
+        ((a, b),) = f
+        for x, y in g:
+            if x < a:
+                a = x
+            if y < b:
+                b = y
+        return {(a, b): 1}
     pf, cf = _zs_primitive(_zs_from_terms(f))
     pg, cg = _zs_primitive(_zs_from_terms(g))
     if len(pf) < len(pg):

@@ -2,10 +2,10 @@
 
 The tensor square splits into the (r,s)-symmetric square S2, spanned by
 v_i x v_i and v_i x v_j + s v_j x v_i (i < j), and the (r,s)-exterior
-square spanned by v_i x v_j - r v_j x v_i; both are cut out by the
-spectral R-matrix at the special points r s^{-1} and r^{-1} s.  The k-th
-wedge module is the quotient of V^{x k} by the sum of all identity-padded
-insertions of S2.
+square spanned by v_i x v_j - r v_j x v_i, each written once (_SQUARES);
+both are cut out by the spectral R-matrix at r s^{-1} and r^{-1} s.  The
+k-th wedge module is the quotient of V^{x k} by S2 inserted at every
+adjacent pair of factors, placed as R is (linalg.pair_placements).
 
 Every relation vector has one or two nonzero coordinates, so the relation
 span is a gain graph on the n^k tensor indices (Zaslavsky, "Biased graphs
@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .linalg import (Matrix, QuotientData, Subspace, _Echelon,
-                     kernel_image_rank, tensor_index, tensor_tuple)
+from .linalg import (Matrix, QuotientData, Subspace, _Echelon, tensor_index,
+                     kernel_image_rank, pair_placements, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    NonDiagonalAction, Representation, Weight, _content,
                    _generator_names, check_defining_relations, tensor_action,
@@ -36,24 +36,31 @@ class WellDefinednessFailure(AssertionError):
     """The relation subspace is not preserved by a generator action."""
 
 
-def sym2(n, field):
-    """The (r,s)-symmetric square of V inside V x V."""
+_SQUARES = {"sym2": lambda field: (field.s, True),
+            "alt2": lambda field: (-field.r, False)}
+
+
+def _square_vectors(n, field, name):
+    """Spanning vectors in V x V of a square, written once in _SQUARES as
+    (c, diagonal): v_i x v_i if diagonal, then v_i x v_j + c v_j x v_i, i<j."""
     if n < 1:
         raise InvalidRank("rank parameter n must be at least 1")
-    return Subspace.from_vectors(n * n, _insertion_vectors(n, 2, field))
+    c, diagonal = _SQUARES[name](field)
+    one = field.one
+    return ([{tensor_index((i, i), n): one}
+             for i in range(1, n + 1) if diagonal]
+            + [{tensor_index((i, j), n): one, tensor_index((j, i), n): c}
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def sym2(n, field):
+    """The (r,s)-symmetric square of V inside V x V."""
+    return Subspace.from_vectors(n * n, _square_vectors(n, field, "sym2"))
 
 
 def alt2(n, field):
     """The (r,s)-exterior square of V inside V x V."""
-    if n < 1:
-        raise InvalidRank("rank parameter n must be at least 1")
-    one, r = field.one, field.r
-    vecs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vecs.append({tensor_index((i, j), n): one,
-                         tensor_index((j, i), n): -r})
-    return Subspace.from_vectors(n * n, vecs)
+    return Subspace.from_vectors(n * n, _square_vectors(n, field, "alt2"))
 
 
 def spectral_projector_check(rz, field):
@@ -88,28 +95,15 @@ def _compare_subspaces(name, n, got, want):
                                          "rhs": rhs.get(p, {})})
 
 
-def _sym2_specs(n, field):
-    """Spanning vectors of S2 as ((pair, coeff), ...) tuples."""
-    one, s = field.one, field.s
-    specs = [(((i, i), one),) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            specs.append((((i, j), one), ((j, i), s)))
-    return specs
-
-
 def _insertion_vectors(n, k, field):
-    """All identity-padded insertions of the S2 spanning vectors into
+    """The S2 spanning vectors at every pair_placements position of
     V^{x k}, as sparse ambient coordinate vectors (deterministic order)."""
-    specs = _sym2_specs(n, field)
-    for p in range(k - 1):
-        right = n**(k - p - 2)
-        for a in range(n**p):
-            base = a * n * n
-            for spec in specs:
-                for b in range(right):
-                    yield {(base + (x - 1) * n + (y - 1)) * right + b + 1: c
-                           for (x, y), c in spec}
+    vecs = _square_vectors(n, field, "sym2")
+    for pos in range(1, k):
+        for block in pair_placements(n, pos, k):
+            for vec in vecs:
+                for place in block:
+                    yield {place[l - 1]: c for l, c in vec.items()}
 
 
 def wedge_dimension(n, k, field):

@@ -38,10 +38,16 @@ def test_genericity_violation_exits_2(capsys):
     assert "r = s violates genericity" in err
 
 
-def test_invalid_rank_exits_2(capsys):
-    code, _, err = run_cli(capsys, "rep", "natural", "-n", "1")
-    assert code == 2
-    assert "at least 2" in err
+@pytest.mark.parametrize("command", [
+    ("rep", "natural"), ("rep", "tensor"), ("rep", "check"), ("rmatrix",),
+    *(("verify", what) for what in cli._VERIFY), ("wedge",),
+    ("wedge", "verify"), ("weights",)], ids="-".join)
+def test_invalid_rank_exits_2(capsys, command):
+    # rejected once, before any command runs, whatever the command does
+    # with n = 1 on its own
+    code, out, err = run_cli(capsys, *command, "-n", "1")
+    assert (code, out) == (2, "")
+    assert "rank parameter n must be at least 2" in err
 
 
 def test_bad_rational_exits_2(capsys):
@@ -95,6 +101,14 @@ def test_rmatrix_constant_and_spectral(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["rows"] == 4
+
+
+def test_rmatrix_spectral_rejects_z(capsys):
+    # the pair (A, B) has no point to evaluate at; -z was dropped unseen
+    code, out, err = run_cli(capsys, "rmatrix", "-n", "2", "--spectral",
+                             "-z", "3")
+    assert (code, out) == (2, "")
+    assert "rmatrix takes --spectral or -z, not both" in err
 
 
 def test_rmatrix_z_evaluation_consistent(capsys):
@@ -179,7 +193,7 @@ def test_verify_minpoly_example(capsys):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     failed = CheckReport([CheckItem("ybe", (1, 2), False)])
-    monkeypatch.setattr(cli, "check_ybe_spectral", lambda rz, field: failed)
+    monkeypatch.setattr(cli, "check_ybe_spectral", lambda rz: failed)
     code, out, _ = run_cli(capsys, "verify", "ybe", "-n", "2")
     assert code == 1
     data = json.loads(out)

@@ -88,6 +88,22 @@ def test_ratfunc_gcd_monomial():
     assert f.den == S * S * (R - S)
 
 
+@pytest.mark.parametrize("f, g, want", [
+    # f a monomial, g a polynomial: the least exponents over both
+    ({(2, 1): 3}, {(3, 0): 1, (1, 4): -2, (2, 2): 5}, {(1, 0): 1}),
+    ({(0, 3): -1}, {(1, 2): 1, (4, 5): 7}, {(0, 2): 1}),
+    # g a monomial, f a polynomial
+    ({(3, 2): 1, (2, 5): 4}, {(2, 3): 2}, {(2, 2): 1}),
+    ({(1, 1): 1, (0, 0): 1}, {(5, 5): 1}, {(0, 0): 1}),
+    # both monomials
+    ({(4, 1): 2}, {(2, 3): Fraction(1, 3)}, {(2, 1): 1}),
+    ({(1, 2): 1}, {(1, 2): -5}, {(1, 2): 1}),
+])
+def test_b_gcd_with_a_monomial(f, g, want):
+    assert scalars._b_gcd(f, g) == want
+    assert scalars._b_gcd(g, f) == want
+
+
 def test_ratfunc_coprime_large_coefficients():
     big = 10**30 + 7
     num = BiPoly.term(1, 0, big) + BiPoly.term(0, 1, -3**40)

@@ -82,6 +82,24 @@ def test_spectral_projector_check_rejects_a_scaled_b(field):
         "witness_basis_index": 1, "lhs": {1: one}, "rhs": {}}
 
 
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+@pytest.mark.parametrize("square, rows", [
+    ("sym2", {"image R(rs^-1) = sym2", "kernel R(r^-1 s) = sym2"}),
+    ("alt2", {"kernel R(rs^-1) = alt2", "image R(r^-1 s) = alt2"})])
+def test_spectral_projector_check_rejects_a_wrong_square(monkeypatch, field,
+                                                         square, rows):
+    # a doubled exchange coefficient describes some other subspace, so
+    # exactly the two rows that compare R(z) with that square must fail
+    spec = wedge_mod._SQUARES[square]
+    monkeypatch.setitem(wedge_mod._SQUARES, square,
+                        lambda f: (2 * spec(f)[0], spec(f)[1]))
+    report = spectral_projector_check(build_r_z(3, field), field)
+    assert {c.name for c in report.failures()} == rows
+    for row in report.failures():
+        w = row.witness
+        assert w is not None and w["lhs"] != w["rhs"]
+
+
 def test_wedge_dimension_against_dense_oracle(monkeypatch):
     # independent dense elimination over the same spanning vectors
     for n, k in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
