@@ -150,13 +150,12 @@ def _cmd_rmatrix(args, field):
 _VERIFY = {
     "ybe": (lambda a, f: check_ybe_spectral(build_r_z(a.n, f)), False),
     "braid": (lambda a, f: check_braid_constant(build_r(a.n, f)), False),
-    "minpoly": (lambda a, f: check_min_poly(build_r(a.n, f), f), False),
+    "minpoly": (lambda a, f: check_min_poly(build_r_z(a.n, f)), False),
     "morphism": (lambda a, f: check_module_morphism(
         build_r(a.n, f), tensor_power_rep(a.n, a.k, f)), False),
     "hopf": (lambda a, f: hopf_antipode_check(natural_rep(a.n, f)), True),
     "jimbo": (lambda a, f: jimbo_compare(build_r_z(a.n, f)), False),
-    "prop41": (lambda a, f: spectral_projector_check(build_r_z(a.n, f), f),
-               True),
+    "prop41": (lambda a, f: spectral_projector_check(build_r_z(a.n, f)), True),
 }
 
 

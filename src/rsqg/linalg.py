@@ -10,9 +10,22 @@ All elimination runs through one kernel, _Echelon: subspace spans and
 membership, kernel/image/rank and the inverse.  Quotients need none:
 QuotientData only holds coset representatives and a projection, which
 rsqg.wedge builds directly from its gain graph.
+
+Matrices over Q, the sampled field, have a second representation:
+integer columns over one positive common denominator, so that the
+products, sums and comparisons of the sampled checks multiply ints and
+normalize no Fraction per entry.  Matrix builds it from the entries on
+first use when every entry is an int or a Fraction; any other entry (a
+RatFunc) keeps the generic path.  Results of that arithmetic turn into
+normalized Fractions only when their entries are read.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+_RATIONAL = frozenset((int, Fraction))
 
 
 class SingularInput(ValueError):
@@ -49,9 +62,14 @@ def pair_placements(n, pos, count):
 
 
 class Matrix:
-    """Sparse matrix with 1-based indices over any exact scalar type."""
+    """Sparse matrix with 1-based indices over any exact scalar type.
 
-    __slots__ = ("rows", "cols", "entries", "_colidx")
+    Over Q its integer form (den, {j: {i: int}}) is cached in _q like the
+    column index in _colidx, since a Matrix is never mutated; a result of
+    integer arithmetic holds only _q until entries is read.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_colidx", "_q")
 
     def __init__(self, rows, cols, entries=None, _clean=False):
         rows, cols = int(rows), int(cols)
@@ -60,10 +78,11 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._colidx = None
+        self._q = None
         if entries is None:
-            self.entries = {}
+            self._entries = {}
         elif _clean:
-            self.entries = entries
+            self._entries = entries
         else:
             clean = {}
             for (i, j), v in entries.items():
@@ -71,7 +90,15 @@ class Matrix:
                     raise ValueError(f"entry ({i}, {j}) out of range")
                 if v:
                     clean[(i, j)] = v
-            self.entries = clean
+            self._entries = clean
+
+    @classmethod
+    def _from_ints(cls, rows, cols, q):
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols = rows, cols
+        mat._entries = mat._colidx = None
+        mat._q = q
+        return mat
 
     @classmethod
     def zero(cls, rows, cols):
@@ -87,25 +114,80 @@ class Matrix:
         ent = {(i, i): v for i, v in enumerate(values, 1) if v}
         return cls(n, n, ent, _clean=True)
 
+    @property
+    def entries(self):
+        """The dict (i, j) -> nonzero scalar; normalized Fractions for a
+        matrix that only holds the integer form."""
+        ent = self._entries
+        if ent is None:
+            den, cols = self._q
+            ent = self._entries = {(i, j): Fraction(v, den)
+                                   for j, col in cols.items()
+                                   for i, v in col.items()}
+        return ent
+
+    def _ints(self):
+        """(den, {j: {i: int}}) with entry (i, j) = int / den, or False if
+        some entry is not rational (the first entry of a Q(r, s) matrix
+        already is not, so that costs one type check)."""
+        q = self._q
+        if q is None:
+            ent = self._entries
+            if all(type(v) in _RATIONAL for v in ent.values()):
+                den = lcm(*{v.denominator for v in ent.values()})
+                cols = {}
+                for (i, j), v in ent.items():
+                    cols.setdefault(j, {})[i] = v.numerator * (den // v.denominator)
+                q = (den, cols)
+            else:
+                q = False
+            self._q = q
+        return q
+
     def get(self, i, j):
         return self.entries.get((i, j))
 
     def is_zero(self):
-        return not self.entries
+        if self._entries is None:
+            return not self._q[1]
+        return not self._entries
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        qa = self._ints()
+        qb = qa and other._ints()
+        if not qb:
+            return self.entries == other.entries
+        if qa[0] == qb[0]:
+            return qa[1] == qb[1]
+        # cross-multiplied: A - B over the common denominator vanishes
+        return not _int_sum(qa, qb, -1)[1]
 
     def __neg__(self):
+        if self._ints():
+            return self.scale(-1)
         return Matrix(self.rows, self.cols,
                       {k: -v for k, v in self.entries.items()}, _clean=True)
 
     def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def _add(self, other, sign):
+        # self + sign * other
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix sum")
+        qa = self._ints()
+        qb = qa and other._ints()
+        if qb:
+            return Matrix._from_ints(self.rows, self.cols, _int_sum(qa, qb, sign))
+        if sign < 0:
+            other = -other
         out = dict(self.entries)
         for k, v in other.entries.items():
             cur = out.get(k)
@@ -116,12 +198,15 @@ class Matrix:
                 del out[k]
         return Matrix(self.rows, self.cols, out, _clean=True)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         if not c:
             return Matrix.zero(self.rows, self.cols)
+        q = type(c) in _RATIONAL and self._ints()
+        if q:
+            den, cols = q
+            num = c.numerator
+            return Matrix._from_ints(self.rows, self.cols, (den * c.denominator, {
+                j: {i: num * v for i, v in col.items()} for j, col in cols.items()}))
         return Matrix(self.rows, self.cols,
                       {k: c * v for k, v in self.entries.items()}, _clean=True)
 
@@ -130,6 +215,10 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        qa = self._ints()
+        qb = qa and other._ints()
+        if qb:
+            return Matrix._from_ints(self.rows, other.cols, _int_product(qa, qb))
         bycol = self._columns()
         out = {}
         for (k, j), b in other.entries.items():
@@ -185,15 +274,57 @@ class Matrix:
         return out
 
     def to_json(self):
+        ent = self.entries
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[i, j, str(self.entries[(i, j)])]
-                        for (i, j) in sorted(self.entries)],
+            "entries": [[i, j, str(ent[(i, j)])] for (i, j) in sorted(ent)],
         }
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _int_product(qa, qb):
+    """Integer form of A B from those of A and B."""
+    (da, ca), (db, cb) = qa, qb
+    out = {}
+    for j, bcol in cb.items():
+        acc = {}
+        for k, b in bcol.items():
+            acol = ca.get(k)
+            if acol is None:
+                continue
+            for i, a in acol.items():
+                acc[i] = acc.get(i, 0) + a * b
+        if 0 in acc.values():
+            acc = {i: v for i, v in acc.items() if v}
+        if acc:
+            out[j] = acc
+    return da * db, out
+
+
+def _int_sum(qa, qb, sign):
+    """Integer form of A + sign B over the least common denominator."""
+    (da, ca), (db, cb) = qa, qb
+    g = gcd(da, db)
+    ma, mb = db // g, sign * (da // g)
+    out = {j: {i: ma * v for i, v in col.items()} if ma != 1 else dict(col)
+           for j, col in ca.items()}
+    for j, col in cb.items():
+        acc = out.get(j)
+        if acc is None:
+            out[j] = {i: mb * v for i, v in col.items()}
+            continue
+        for i, v in col.items():
+            acc[i] = acc.get(i, 0) + mb * v
+        if 0 in acc.values():
+            acc = {i: v for i, v in acc.items() if v}
+            if acc:
+                out[j] = acc
+            else:
+                del out[j]
+    return da * ma, out
 
 
 def _axpy(dst, c, src):

@@ -56,16 +56,18 @@ def build_r_inverse(n, field):
 
 
 class SpectralRMatrix:
-    """R(z) = A + z B, stored as the constant pair (A, B)."""
+    """R(z) = A + z B, stored as the constant pair (A, B) with the field
+    its entries lie in, so no check of it takes a field of its own."""
 
-    __slots__ = ("n", "A", "B")
+    __slots__ = ("n", "A", "B", "field")
 
-    def __init__(self, n, A, B):
+    def __init__(self, n, A, B, field):
         if A.rows != B.rows or A.cols != B.cols:
             raise ValueError("spectral pair has mismatched shapes")
         self.n = n
         self.A = A
         self.B = B
+        self.field = field
 
     def at(self, z):
         return self.A + self.B.scale(z)
@@ -87,7 +89,7 @@ def yang_baxterize(R, lam1, lam2, field):
         raise ValueError("eigenvalues must be nonzero")
     n = _factor_dim(R)
     rinv = invert(R, field)
-    return SpectralRMatrix(n, R.scale(lam2**-1), rinv.scale(lam1))
+    return SpectralRMatrix(n, R.scale(lam2**-1), rinv.scale(lam1), field)
 
 
 def _factor_dim(op):
@@ -123,14 +125,15 @@ def _direct_r_z(n, field):
                 aent[(ji, ji)] = diag
                 bent[(ij, ij)] = diag
     return SpectralRMatrix(n, Matrix(n * n, n * n, aent, _clean=True),
-                           Matrix(n * n, n * n, bent, _clean=True))
+                           Matrix(n * n, n * n, bent, _clean=True), field)
 
 
 def _linear_r_z(n, field):
     """R(z) = (1 - z)R - z(r s^{-1} - 1)I, split as R + z((1 - rs^{-1})I - R)."""
     R = build_r(n, field)
     ident = Matrix.identity(n * n, field.one)
-    return SpectralRMatrix(n, R, ident.scale(field.one - field.r * field.s**-1) - R)
+    return SpectralRMatrix(n, R, ident.scale(field.one - field.r * field.s**-1) - R,
+                           field)
 
 
 def build_r_z(n, field):
@@ -190,12 +193,14 @@ def check_ybe_spectral(rz):
         for z in grid for w in grid)
 
 
-def check_min_poly(R, field):
-    """Minimal polynomial of R on V x V is exactly (t - 1)(t + r s^{-1}).
+def check_min_poly(rz):
+    """Minimal polynomial of the constant R = R(0) = A of rz on V x V is
+    exactly (t - 1)(t + r s^{-1}), with r, s from the field of rz.
 
     Checks annihilation, that neither linear factor annihilates alone,
     and the equivalent quadratic identity R^2 = (1 - rs^{-1})R + rs^{-1}I.
     """
+    R, field = rz.A, rz.field
     n = _factor_dim(R)
     if n < 2:
         raise InvalidRank("minimal polynomial check needs n >= 2")

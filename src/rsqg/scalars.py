@@ -69,6 +69,21 @@ def _gl_key(m):
     return (m[0] + m[1], m[0])
 
 
+def _leading(terms):
+    """max(terms, key=_gl_key) without a key call per monomial: most
+    reductions see one or two terms."""
+    it = iter(terms)
+    best = next(it)
+    if len(terms) == 1:
+        return best
+    deg = best[0] + best[1]
+    for m in it:
+        d = m[0] + m[1]
+        if d > deg or (d == deg and m[0] > best[0]):
+            best, deg = m, d
+    return best
+
+
 # ---------------------------------------------------------------------------
 # gcds on integer coefficients.  A polynomial in Z[x] is a dense list of ints,
 # lowest degree first, with no trailing zero ([] is 0); one in Z[s][r] is a
@@ -242,10 +257,10 @@ def _b_gcd(f, g):
 def _b_divexact(f, g):
     q = {}
     r = dict(f)
-    gm = max(g, key=_gl_key)
+    gm = _leading(g)
     gc = g[gm]
     while r:
-        rm = max(r, key=_gl_key)
+        rm = _leading(r)
         ma, mb = rm[0] - gm[0], rm[1] - gm[1]
         if ma < 0 or mb < 0:
             raise ArithmeticError("inexact bivariate division")
@@ -436,7 +451,7 @@ class RatFunc:
         if g != _ONE_TERMS:
             nt = _b_divexact(nt, g)
             dt = _b_divexact(dt, g)
-        lc = dt[max(dt, key=_gl_key)]
+        lc = dt[_leading(dt)]
         if lc != 1 or _fractional(nt) or _fractional(dt):
             # _div also turns an integral Fraction, left by arithmetic
             # with a non-integral one, back into an int

@@ -302,16 +302,13 @@ def check_defining_relations(rep):
     rpsi = r**-1 + s**-1
     rtsi = (r * s)**-1
     for i in range(1, n - 1):
-        A, B = rep.e(i), rep.e(i + 1)
-        lhs = A * A * B - (A * B * A).scale(rps) + (B * A * A).scale(rts)
-        checks.append(_compare("R6:a", (i,), lhs, zero))
-        lhs = A * B * B - (B * A * B).scale(rps) + (B * B * A).scale(rts)
-        checks.append(_compare("R6:b", (i,), lhs, zero))
-        A, B = rep.f(i), rep.f(i + 1)
-        lhs = A * A * B - (A * B * A).scale(rpsi) + (B * A * A).scale(rtsi)
-        checks.append(_compare("R7:a", (i,), lhs, zero))
-        lhs = A * B * B - (B * A * B).scale(rpsi) + (B * B * A).scale(rtsi)
-        checks.append(_compare("R7:b", (i,), lhs, zero))
+        for rel, A, B, c1, c2 in (("R6", rep.e(i), rep.e(i + 1), rps, rts),
+                                  ("R7", rep.f(i), rep.f(i + 1), rpsi, rtsi)):
+            AB, BA = A * B, B * A
+            lhs = A * A * B - (AB * A).scale(c1) + (BA * A).scale(c2)
+            checks.append(_compare(f"{rel}:a", (i,), lhs, zero))
+            lhs = AB * B - (BA * B).scale(c1) + (B * B * A).scale(c2)
+            checks.append(_compare(f"{rel}:b", (i,), lhs, zero))
     return CheckReport(checks)
 
 

@@ -63,10 +63,11 @@ def alt2(n, field):
     return Subspace.from_vectors(n * n, _square_vectors(n, field, "alt2"))
 
 
-def spectral_projector_check(rz, field):
+def spectral_projector_check(rz):
     """The special evaluations of R(z) cut out the two squares:
-    Im R(rs^{-1}) = S2 = Ker R(r^{-1}s) and Ker R(rs^{-1}) = Alt2 = Im R(r^{-1}s)."""
-    n = rz.n
+    Im R(rs^{-1}) = S2 = Ker R(r^{-1}s) and Ker R(rs^{-1}) = Alt2 = Im R(r^{-1}s),
+    with r, s from the field of rz."""
+    n, field = rz.n, rz.field
     if n < 2:
         raise InvalidRank("projector check needs n >= 2")
     rs = field.r * field.s**-1

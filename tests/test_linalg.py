@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from rsqg import (Matrix, SampledField, SingularInput, Subspace,
-                  SymbolicField, invert, kernel_image_rank, tensor_index,
-                  tensor_tuple)
+from rsqg import (Matrix, Representation, SampledField, SingularInput,
+                  Subspace, SymbolicField, build_r, check_defining_relations,
+                  check_module_morphism, invert, kernel_image_rank,
+                  tensor_index, tensor_power_rep, tensor_tuple)
 
 from helpers import dense_mul, dense_rank, from_dense, random_sparse, to_dense
 
@@ -156,3 +158,184 @@ def test_invert_roundtrip_and_errors():
         invert(Matrix(2, 2, {(1, 1): Fraction(1), (2, 1): Fraction(1)}), smp)
     with pytest.raises(SingularInput):
         invert(Matrix.zero(2, 3), smp)
+
+
+# The integer form of a matrix over Q (integer columns over one common
+# denominator) against plain dicts of Fractions.
+
+_VALUES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4),
+           Fraction(-5, 3), Fraction(7, 6), Fraction(4))
+
+
+def _rational_entries(rng, rows, cols, fill=0.5):
+    # ints, integral Fractions and proper fractions of both signs
+    return {(i, j): rng.choice(_VALUES) for i in range(1, rows + 1)
+            for j in range(1, cols + 1) if rng.random() < fill}
+
+
+def _ref(ent):
+    return {k: Fraction(v) for k, v in ent.items() if v}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i, k), x in a.items():
+        for (t, j), y in b.items():
+            if t == k:
+                out[(i, j)] = out.get((i, j), 0) + Fraction(x) * Fraction(y)
+    return _ref(out)
+
+
+def _ref_add(a, b, sign=1):
+    out = {k: Fraction(v) for k, v in a.items()}
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * Fraction(v)
+    return _ref(out)
+
+
+def _cancelling_pair(rng, rows, inner, cols):
+    """A, B with column 2 of A equal to column 1 and row 2 of B the negated
+    row 1, so those two terms of every entry of A B cancel."""
+    a = _rational_entries(rng, rows, inner)
+    b = _rational_entries(rng, inner, cols)
+    for i in range(1, rows + 1):
+        a.pop((i, 2), None)
+        if (i, 1) in a:
+            a[(i, 2)] = a[(i, 1)]
+    for j in range(1, cols + 1):
+        b.pop((2, j), None)
+        if (1, j) in b:
+            b[(2, j)] = -b[(1, j)]
+    return a, b
+
+
+def _assert_is_reference(mat, ref):
+    """Every read of mat gives the normalized Fractions of the reference."""
+    assert mat.entries == ref
+    assert all(type(v) is Fraction for v in mat.entries.values())
+    plain = Matrix(mat.rows, mat.cols, ref)
+    assert mat.to_json() == plain.to_json()
+    for j in range(1, mat.cols + 1):
+        assert mat.col(j) == plain.col(j)
+        for i in range(1, mat.rows + 1):
+            assert mat.get(i, j) == ref.get((i, j))
+    vec = {j: Fraction(j, 2) - 1 for j in range(1, mat.cols + 1)}
+    assert mat.apply(vec) == plain.apply(vec)
+    assert mat.is_zero() == (not ref)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_form_agrees_with_fraction_reference(seed):
+    rng = random.Random(seed)
+    rows, inner, cols = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 5)
+    ea, eb = _cancelling_pair(rng, rows, inner, cols)
+    ec = _rational_entries(rng, rows, inner)
+    # c cancels part of a, so some entries of a + c vanish
+    ec.update({k: -v for k, v in ea.items() if rng.random() < 0.5})
+    a, b, c = (Matrix(m, n, e) for (m, n), e in (((rows, inner), ea),
+                                                  ((inner, cols), eb),
+                                                  ((rows, inner), ec)))
+    cases = [
+        (a * b, _ref_mul(ea, eb)),
+        (a + c, _ref_add(ea, ec)),
+        (a - c, _ref_add(ea, ec, -1)),
+        (a - a, {}),
+        (-a, {k: -Fraction(v) for k, v in ea.items()}),
+        ((a + c) * b - c * b, _ref_mul(ea, eb)),
+    ]
+    for k in (3, -2, Fraction(-2, 9), Fraction(5, 1), 0):
+        cases.append((a.scale(k), _ref({key: k * v for key, v in ea.items()})))
+    for mat, ref in cases:
+        _assert_is_reference(mat, ref)
+        plain = Matrix(mat.rows, mat.cols, ref)
+        assert mat == plain and plain == mat
+        # equality sees a single changed entry
+        if ref:
+            key = next(iter(ref))
+            other = dict(ref)
+            other[key] += Fraction(1, 7)
+            assert mat != Matrix(mat.rows, mat.cols, other)
+        assert mat != Matrix(mat.rows, mat.cols, {**ref, (1, 1): Fraction(99)})
+
+
+def test_equal_matrices_with_different_denominators_compare_equal():
+    rng = random.Random(5)
+    ent = _rational_entries(rng, 4, 4, fill=0.8)
+    a = Matrix(4, 4, ent)
+    b = a.scale(Fraction(1, 6)).scale(6)
+    c = (a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 3))).scale(Fraction(6, 5))
+    assert len({a._ints()[0], b._ints()[0], c._ints()[0]}) == 3
+    plain = Matrix(4, 4, _ref(ent))
+    for x in (a, b, c):
+        for y in (a, b, c, plain):
+            assert x == y
+        assert (x - plain).is_zero()
+    assert b.entries == c.entries == plain.entries
+    assert b != a.scale(Fraction(7, 6))
+
+
+def test_integer_form_is_skipped_for_rational_functions():
+    sym = SymbolicField()
+    m = Matrix(2, 2, {(1, 1): sym.r, (2, 1): sym.one})
+    assert m._ints() is False
+    half = Matrix(2, 2, {(1, 2): Fraction(1, 2)})
+    # a Fraction matrix mixed with Q(r, s) entries takes the generic path
+    prod = m * half
+    assert prod.entries == {(1, 2): sym.r * sym.from_fraction(Fraction(1, 2)),
+                            (2, 2): sym.from_fraction(Fraction(1, 2))}
+    assert m.scale(sym.s) == Matrix(2, 2, {(1, 1): sym.r * sym.s,
+                                           (2, 1): sym.s})
+
+
+def _fraction_arithmetic_in_linalg_raises(monkeypatch):
+    """Fraction products and sums formed inside rsqg.linalg raise; the
+    scalars a check prepares elsewhere (r + s, say) stay allowed."""
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = getattr(Fraction, name)
+
+        def guard(a, b, _original=original, _name=name):
+            if sys._getframe(1).f_globals.get("__name__") == "rsqg.linalg":
+                raise AssertionError(f"Fraction.{_name} in rsqg.linalg")
+            return _original(a, b)
+
+        monkeypatch.setattr(Fraction, name, guard)
+
+
+def test_sampled_checks_multiply_no_fractions(monkeypatch):
+    field = SampledField(2, 3)
+    rep = tensor_power_rep(3, 3, field)
+    R = build_r(3, field)
+    _fraction_arithmetic_in_linalg_raises(monkeypatch)
+    assert check_module_morphism(R, rep).ok
+    assert check_defining_relations(rep).ok
+    with pytest.raises(AssertionError, match="Fraction.__mul__"):
+        R.apply({1: Fraction(1, 2)})
+
+
+def _fraction_path_reports(monkeypatch, checks):
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "_ints", lambda self: False)
+        return [check() for check in checks]
+
+
+def test_corrupted_generator_fails_the_same_rows_at_a_non_integral_pair(
+        monkeypatch):
+    field = SampledField(Fraction(1, 2), 3)
+    rep = tensor_power_rep(3, 3, field)
+    ent = dict(rep.e(1).entries)
+    key = next(k for k in sorted(ent) if ent[k] != 1)
+    ent[key] *= Fraction(-5, 2)
+    gens = dict(rep.gens, e1=Matrix(rep.dim, rep.dim, ent))
+    bad = Representation(rep.n, rep.dim, gens, field, rep.weights)
+    R = build_r(3, field)
+    checks = [lambda: check_defining_relations(bad),
+              lambda: check_module_morphism(R, bad)]
+    want = _fraction_path_reports(monkeypatch, checks)
+    got = [check() for check in checks]
+    for g, w in zip(got, want):
+        assert not g.ok and g.failures()
+        assert [(c.name, c.indices, c.ok) for c in g.checks] == [
+            (c.name, c.indices, c.ok) for c in w.checks]
+        assert [c.witness for c in g.checks] == [c.witness for c in w.checks]
+        assert g.to_json() == w.to_json()
+    assert {c.name for c in got[0].failures()} >= {"R4", "R6:a"}

@@ -8,7 +8,8 @@ from rsqg import (CheckReport, InvalidPower, InvalidRank, Matrix,
                   build_r, build_r_inverse, build_r_z, check_braid_constant,
                   check_min_poly, check_module_morphism, check_ybe_spectral,
                   invert, jimbo_compare, natural_rep, specialize_jimbo,
-                  tensor_index, tensor_power_rep, yang_baxterize)
+                  spectral_projector_check, tensor_index, tensor_power_rep,
+                  yang_baxterize)
 from rsqg.rmatrix import _padded
 
 sym = SymbolicField()
@@ -132,15 +133,29 @@ def test_r_checks_build_no_kronecker_product(monkeypatch, field):
 
 def test_min_poly():
     for n in (2, 3, 4):
-        assert check_min_poly(build_r(n, sym), sym).ok
-    assert check_min_poly(build_r(2, smp), smp).ok
+        assert check_min_poly(build_r_z(n, sym)).ok
+    assert check_min_poly(build_r_z(2, smp)).ok
     with pytest.raises(InvalidRank):
-        check_min_poly(build_r(1, sym), sym)
+        check_min_poly(build_r_z(1, sym))
     # minimality: neither factor annihilates alone
     R = build_r(2, sym)
     ident = Matrix.identity(4, sym.one)
     assert not (R - ident).is_zero()
     assert not (R + ident.scale(sym.r * sym.s**-1)).is_zero()
+
+
+def test_r_z_carries_its_field_into_the_checks():
+    # r, s come from the operator, so a second field cannot disagree with it
+    for field in (smp, SampledField(5, 7), sym):
+        rz = build_r_z(2, field)
+        assert rz.field is field
+        assert check_min_poly(rz).ok
+        assert spectral_projector_check(rz).ok
+    rz = build_r_z(2, smp)
+    with pytest.raises(TypeError):
+        check_min_poly(build_r(2, smp), sym)
+    with pytest.raises(TypeError):
+        spectral_projector_check(rz, SampledField(5, 7))
 
 
 def test_quadratic_relation():
@@ -244,16 +259,19 @@ def _flip_r_exchange(R, field):
 
 
 def _scale_b(rz, field):
-    return SpectralRMatrix(rz.n, rz.A, rz.B.scale(field.from_fraction(2)))
+    return SpectralRMatrix(rz.n, rz.A, rz.B.scale(field.from_fraction(2)), field)
 
 
 def _negate_a_exchange(rz, field):
     return SpectralRMatrix(rz.n, _with_entry(rz.A, (3, 2), -rz.A.get(3, 2)),
-                           rz.B)
+                           rz.B, field)
 
 
 def _constant_checks(R, field):
-    return (check_braid_constant(R), check_min_poly(R, field),
+    # check_min_poly reads the constant R as R(0) = A of an R(z)
+    rz = build_r_z(2, field)
+    return (check_braid_constant(R),
+            check_min_poly(SpectralRMatrix(rz.n, R, rz.B, field)),
             check_module_morphism(R, tensor_power_rep(2, 2, field)))
 
 

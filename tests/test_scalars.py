@@ -104,6 +104,14 @@ def test_b_gcd_with_a_monomial(f, g, want):
     assert scalars._b_gcd(g, f) == want
 
 
+def test_leading_monomial_is_the_graded_lex_maximum():
+    rng_lm = random.Random(3)
+    for _ in range(200):
+        terms = {(rng_lm.randint(0, 4), rng_lm.randint(0, 4)): 1
+                 for _ in range(rng_lm.randint(1, 6))}
+        assert scalars._leading(terms) == max(terms, key=scalars._gl_key)
+
+
 def test_ratfunc_coprime_large_coefficients():
     big = 10**30 + 7
     num = BiPoly.term(1, 0, big) + BiPoly.term(0, 1, -3**40)

@@ -49,12 +49,12 @@ def test_sym2_alt2_explicit_n2():
 
 def test_spectral_projector_identities():
     for n in (2, 3, 4):
-        report = spectral_projector_check(build_r_z(n, sym), sym)
+        report = spectral_projector_check(build_r_z(n, sym))
         assert report.ok, [c.name for c in report.failures()]
         assert all(c.witness is None for c in report.checks)
-    assert spectral_projector_check(build_r_z(2, smp), smp).ok
+    assert spectral_projector_check(build_r_z(2, smp)).ok
     with pytest.raises(InvalidRank):
-        spectral_projector_check(build_r_z(1, sym), sym)
+        spectral_projector_check(build_r_z(1, sym))
 
 
 @pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
@@ -62,8 +62,8 @@ def test_spectral_projector_check_rejects_a_scaled_b(field):
     # A + 2zB is R(2z), which is invertible at z = rs^-1 and at z = r^-1 s:
     # both images are everything and both kernels are zero
     rz = build_r_z(2, field)
-    bad = SpectralRMatrix(2, rz.A, rz.B.scale(field.from_fraction(2)))
-    report = spectral_projector_check(bad, field)
+    bad = SpectralRMatrix(2, rz.A, rz.B.scale(field.from_fraction(2)), field)
+    report = spectral_projector_check(bad)
     assert {c.name for c in report.failures()} == {
         "image R(rs^-1) = sym2", "kernel R(rs^-1) = alt2",
         "kernel R(r^-1 s) = sym2", "image R(r^-1 s) = alt2"}
@@ -93,7 +93,7 @@ def test_spectral_projector_check_rejects_a_wrong_square(monkeypatch, field,
     spec = wedge_mod._SQUARES[square]
     monkeypatch.setitem(wedge_mod._SQUARES, square,
                         lambda f: (2 * spec(f)[0], spec(f)[1]))
-    report = spectral_projector_check(build_r_z(3, field), field)
+    report = spectral_projector_check(build_r_z(3, field))
     assert {c.name for c in report.failures()} == rows
     for row in report.failures():
         w = row.witness
