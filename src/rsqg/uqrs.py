@@ -12,20 +12,25 @@ the tuple content on a tensor power) and verified, never recovered: the
 weight spaces require w_i, w_i' to act diagonally by the character of
 each basis vector's weight.
 
-The coproduct action on V^{x k} has one construction, tensor_action, in
-closed form on a single monomial: w_i, w_i' are group-like, e_i acts on
-one factor with the w_i eigenvalues of the factors before it, and f_i
-with the w_i' eigenvalues of the factors after it.  tensor_power_rep
-fills in its matrices one column at a time from it, and the wedge
-modules apply it without building any matrix on V^{x k}.
+The coproduct action on V^{x k} has one construction, a closed form on a
+single monomial: w_i, w_i' are group-like, e_i acts on one factor with
+the w_i eigenvalues of the factors before it, and f_i with the w_i'
+eigenvalues of the factors after it.  It yields one term list per
+monomial, which both consumers read: tensor_action turns it into the
+image of one monomial (the wedge modules apply it without building any
+matrix on V^{x k}), and tensor_power_rep places each term of a column
+by the stride of its tensor position, building each generator's matrix
+only when it is first looked up.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
-from .linalg import Matrix, Subspace, kernel_image_rank, tensor_index
+from .linalg import Matrix, Subspace, kernel_image_rank
 
 
 class InvalidRank(ValueError):
@@ -115,13 +120,16 @@ def _generator_names(n):
     return [_gen_name(fam, i) for fam in _GEN_FAMILIES for i in range(1, n)]
 
 
+@lru_cache(maxsize=1024)
 def _parse_gen(name):
-    """Split a generator key into (family, index, inverted)."""
+    """Split a generator key into (family, index, inverted).  Cached, as
+    tensor_action parses its name once per monomial."""
     inv = name.endswith("_inv")
-    if inv:
-        name = name[:-4]
-    fam = "wp" if name.startswith("wp") else name[0]
-    return fam, int(name[len(fam):]), inv
+    base = name[:-4] if inv else name
+    fam = "wp" if base.startswith("wp") else base[:1]
+    if fam not in ("e", "f", "w", "wp"):
+        raise ValueError(f"unknown generator {name!r}")
+    return fam, int(base[len(fam):]), inv
 
 
 class Representation:
@@ -136,9 +144,12 @@ class Representation:
         self.gens = gens
         self.field = field
         self.weights = weights
-        for name, mat in gens.items():
-            if mat.rows != dim or mat.cols != dim:
-                raise ValueError(f"generator {name} has wrong shape")
+        # tensor power generators are dim x dim by construction; checking
+        # them here would build every one of them
+        if not isinstance(gens, _TensorGenerators):
+            for name, mat in gens.items():
+                if mat.rows != dim or mat.cols != dim:
+                    raise ValueError(f"generator {name} has wrong shape")
         if len(weights) != dim:
             raise ValueError(f"{len(weights)} weights for dimension {dim}")
 
@@ -185,29 +196,69 @@ def natural_rep(n, field):
 def tensor_power_rep(n, k, field):
     """k-th tensor power of the natural module under the coproduct action.
 
-    Column t of every generator is tensor_action on the t-th tuple in
+    Column t of every generator is the action on the t-th tuple in
     lexicographic order, and basis vector t carries that tuple's content.
+    Each generator's matrix is built on its first lookup in rep.gens.
     """
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
     tuples = list(product(range(1, n + 1), repeat=k))
-    dim = len(tuples)
-    gens = {}
-    for name in _generator_names(n):
+    return Representation(n, len(tuples), _TensorGenerators(n, tuples, field),
+                          field, [_content(tup, n) for tup in tuples])
+
+
+class _TensorGenerators(Mapping):
+    """The generators of V^{x k} by name, in the order of
+    _generator_names; read-only, each matrix built on first lookup."""
+
+    __slots__ = ("_n", "_tuples", "_field", "_parsed", "_built")
+
+    def __init__(self, n, tuples, field):
+        self._n = n
+        self._tuples = tuples
+        self._field = field
+        self._parsed = {name: _parse_gen(name) for name in _generator_names(n)}
+        self._built = {}
+
+    def __getitem__(self, name):
+        mat = self._built.get(name)
+        if mat is None:
+            fam, i, inv = self._parsed[name]
+            mat = self._built[name] = self._build(fam, i, inv)
+        return mat
+
+    def __contains__(self, name):
+        return name in self._parsed
+
+    def __iter__(self):
+        return iter(self._parsed)
+
+    def __len__(self):
+        return len(self._parsed)
+
+    def _build(self, fam, i, inv):
+        # term (pos, t, c) of column col replaces factor pos of the
+        # col-th tuple by v_t, which moves the index by (t - tup[pos])
+        # times the place value n^(k-1-pos) of that factor
+        n, tuples, field = self._n, self._tuples, self._field
+        k = len(tuples[0])
+        strides = [n ** (k - 1 - pos) for pos in range(k)]
         ent = {}
         for col, tup in enumerate(tuples, 1):
-            for img, c in tensor_action(field, n, name, tup).items():
-                ent[(tensor_index(img, n), col)] = c
-        gens[name] = Matrix(dim, dim, ent, _clean=True)
-    return Representation(n, dim, gens, field,
-                          [_content(tup, n) for tup in tuples])
+            for pos, t, c in _action_terms(field, fam, i, inv, tup):
+                row = col if pos is None else col + (t - tup[pos]) * strides[pos]
+                ent[(row, col)] = c
+        dim = len(tuples)
+        return Matrix(dim, dim, ent, _clean=True)
 
 
-def tensor_action(field, n, name, tup):
-    """Action of a generator on one monomial v_{t1} x ... x v_{tk}, as a
-    dict tuple -> coefficient.
+def _action_terms(field, fam, i, inv, tup):
+    """Terms (pos, t, c) of a generator's action on one monomial
+    v_{t1} x ... x v_{tk}: factor pos becomes v_t with coefficient c, and
+    pos is None for a group-like, which scales the monomial by c.  fam is
+    one of e, f, w, wp, as _parse_gen returns it.
 
     With a, b the numbers of factors equal to i, i+1: w_i acts by r^a s^b,
     w_i' by r^b s^a, and the inverses negate both exponents.  e_i turns
@@ -215,7 +266,6 @@ def tensor_action(field, n, name, tup):
     the factors before it; f_i turns each factor v_i into v_{i+1} with
     coefficient r^b s^a, counted over the factors after it.
     """
-    fam, i, inv = _parse_gen(name)
     rs_power = field.rs_power
     if fam in ("w", "wp"):
         a, b = tup.count(i), tup.count(i + 1)
@@ -223,27 +273,35 @@ def tensor_action(field, n, name, tup):
             a, b = b, a
         if inv:
             a, b = -a, -b
-        return {tup: rs_power(a, b)}
-    out = {}
+        return [(None, None, rs_power(a, b))]
+    terms = []
     a = b = 0
     if fam == "e":
         for pos, t in enumerate(tup):
             if t == i + 1:
-                out[tup[:pos] + (i,) + tup[pos + 1:]] = rs_power(a, b)
+                terms.append((pos, i, rs_power(a, b)))
                 b += 1
             elif t == i:
                 a += 1
-        return out
-    if fam == "f":
-        for pos in range(len(tup) - 1, -1, -1):
-            t = tup[pos]
-            if t == i:
-                out[tup[:pos] + (i + 1,) + tup[pos + 1:]] = rs_power(b, a)
-                a += 1
-            elif t == i + 1:
-                b += 1
-        return out
-    raise ValueError(f"unknown generator {name!r}")
+        return terms
+    for pos in range(len(tup) - 1, -1, -1):
+        t = tup[pos]
+        if t == i:
+            terms.append((pos, i + 1, rs_power(b, a)))
+            a += 1
+        elif t == i + 1:
+            b += 1
+    return terms
+
+
+def tensor_action(field, n, name, tup):
+    """Action of a generator on one monomial v_{t1} x ... x v_{tk}, as a
+    dict tuple -> coefficient (the closed form of _action_terms)."""
+    fam, i, inv = _parse_gen(name)
+    out = {}
+    for pos, t, c in _action_terms(field, fam, i, inv, tup):
+        out[tup if pos is None else tup[:pos] + (t,) + tup[pos + 1:]] = c
+    return out
 
 
 def check_defining_relations(rep):
@@ -350,20 +408,23 @@ def _verified_weights(rep):
     """rep.weights, after checking that every w_i, w_i' acts diagonally on
     basis vector t by the character of weights[t]."""
     chars = {w: weight_char(w, rep.n, rep.field) for w in set(rep.weights)}
+    per_basis = [chars[w] for w in rep.weights]
     for i in range(1, rep.n):
         for primed, name in ((0, f"w{i}"), (1, f"wp{i}")):
             ent = rep.gens[name].entries
-            t = next((t for t, w in enumerate(rep.weights, 1)
-                      if ent.get((t, t)) != chars[w][i - 1][primed]), None)
+            if ent == {(t, t): ch[i - 1][primed]
+                       for t, ch in enumerate(per_basis, 1)}:
+                continue
+            t = next((t for t, ch in enumerate(per_basis, 1)
+                      if ent.get((t, t)) != ch[i - 1][primed]), None)
             if t is not None:
                 msg = (f"{name} does not act on basis vector {t} by the "
                        f"character of its weight {rep.weights[t - 1]}")
-            elif len(ent) != rep.dim:
+            else:
+                # every diagonal entry matches, so ent holds an off-diagonal one
                 a, t = next(key for key in ent if key[0] != key[1])
                 msg = f"{name} has an off-diagonal entry at ({a}, {t})"
-            else:
-                continue
-            want = chars[rep.weights[t - 1]][i - 1][primed]
+            want = per_basis[t - 1][i - 1][primed]
             raise NonDiagonalAction(msg, {
                 "witness_basis_index": t,
                 "lhs": {a: v for (a, b), v in ent.items() if b == t},
@@ -378,11 +439,13 @@ def weight_spaces(rep):
     first (NonDiagonalAction names the generator, basis index and weight
     where w_i or w_i' does not act by the weight's character).
     """
-    fld = rep.field
+    one = rep.field.one
     groups = {}
     for t, w in enumerate(_verified_weights(rep), 1):
         groups.setdefault(w, []).append(t)
-    return {w: Subspace.from_vectors(rep.dim, [{t: fld.one} for t in idxs])
+    # unit vectors in increasing index order are already the canonical
+    # reduced echelon basis, with their indices as pivots
+    return {w: Subspace(rep.dim, [{t: one} for t in idxs], idxs)
             for w, idxs in groups.items()}
 
 

@@ -26,9 +26,11 @@ COMMANDS = {
     "wedge_verify_n3_k2_r4_s2": "wedge verify -n 3 -k 2 --r 4 --s 2",
     "wedge_n4_k3_r3_sm1": "wedge -n 4 -k 3 --r 3 --s -1",
     "rep_tensor_n2_k3_symbolic": "rep tensor -n 2 -k 3 --symbolic",
+    "rep_tensor_n3_k3_r1_2_s3": "rep tensor -n 3 -k 3 --r 1/2 --s 3",
     "rep_check_n3_k1": "rep check -n 3 -k 1",
     "weights_n3_k1": "weights -n 3 -k 1",
     "weights_n3_k3_symbolic": "weights -n 3 -k 3 --symbolic",
+    "weights_n4_k4_r1_2_s3": "weights -n 4 -k 4 --r 1/2 --s 3",
     "rmatrix_n3_spectral_symbolic": "rmatrix -n 3 --spectral --symbolic",
     "verify_prop41_n3_symbolic": "verify prop41 -n 3 --symbolic",
     "verify_ybe_n2": "verify ybe -n 2",

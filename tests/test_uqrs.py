@@ -4,10 +4,12 @@ import pytest
 
 import rsqg.uqrs as uqrs_mod
 from rsqg import (InvalidPower, InvalidRank, Matrix, NonDiagonalAction,
-                  Representation, SampledField, SymbolicField, Weight,
+                  RatFunc, Representation, SampledField, Subspace,
+                  SymbolicField, Weight, build_wedge_module,
                   check_defining_relations, highest_weight_vectors,
-                  hopf_antipode_check, natural_rep, tensor_index,
-                  tensor_power_rep, weight_char, weight_spaces)
+                  hopf_antipode_check, natural_rep, tensor_action,
+                  tensor_index, tensor_power_rep, tensor_tuple, weight_char,
+                  weight_spaces)
 
 from helpers import kron_tensor_power
 
@@ -116,18 +118,65 @@ def test_tensor_action_matches_matrices():
 
 
 def test_tensor_action_without_e_prefix_is_caught(monkeypatch):
-    real = uqrs_mod.tensor_action
+    real = uqrs_mod._action_terms
 
-    def no_prefix(field, n, name, tup):
-        out = real(field, n, name, tup)
-        if name.startswith("e"):
-            return {img: field.one for img in out}
-        return out
+    def no_prefix(field, fam, i, inv, tup):
+        terms = real(field, fam, i, inv, tup)
+        if fam == "e":
+            return [(pos, t, field.one) for pos, t, _ in terms]
+        return terms
 
-    monkeypatch.setattr(uqrs_mod, "tensor_action", no_prefix)
+    monkeypatch.setattr(uqrs_mod, "_action_terms", no_prefix)
     for n, k, field in _KRON_CASES:
         rep = tensor_power_rep(n, k, field)
         assert rep.gens != kron_tensor_power(n, k, field), (n, k, field)
+
+
+def test_tensor_power_columns_are_tensor_action():
+    # the stride placement against the tuple image of tensor_action
+    for field in (sym, SampledField(Fraction(1, 2), 3)):
+        for n in (2, 3, 4):
+            for k in (1, 2, 3):
+                rep = tensor_power_rep(n, k, field)
+                for name in rep.generator_names():
+                    mat = rep.gens[name]
+                    for col in range(1, rep.dim + 1):
+                        img = tensor_action(field, n, name,
+                                            tensor_tuple(col, n, k))
+                        assert mat.col(col) == {
+                            tensor_index(u, n): c for u, c in img.items()
+                        }, (field, n, k, name, col)
+    with pytest.raises(ValueError, match="unknown generator 'x1'"):
+        tensor_action(sym, 3, "x1", (1, 2))
+
+
+def test_tensor_power_generators_are_built_on_first_use(monkeypatch):
+    real = uqrs_mod._action_terms
+    seen = set()
+
+    def recording(field, fam, i, inv, tup):
+        seen.add((fam, inv))
+        return real(field, fam, i, inv, tup)
+
+    monkeypatch.setattr(uqrs_mod, "_action_terms", recording)
+    weight_spaces(tensor_power_rep(4, 3, smp))
+    assert seen == {("w", False), ("wp", False)}
+
+
+def test_tensor_power_generators_read_as_a_dict():
+    rep = tensor_power_rep(3, 2, smp)
+    assert list(rep.gens) == uqrs_mod._generator_names(3)
+    assert len(rep.gens) == 12
+    assert "e2" in rep.gens and "e3" not in rep.gens
+    assert rep.gens["e1"] is rep.gens["e1"]
+    with pytest.raises(KeyError):
+        rep.gens["e3"]
+    with pytest.raises(TypeError):
+        rep.gens["e1"] = rep.gens["f1"]
+    ref = kron_tensor_power(3, 2, smp)
+    assert dict(rep.gens) == ref
+    assert rep.gens == ref and ref == rep.gens
+    assert tensor_power_rep(3, 2, smp).gens != kron_tensor_power(3, 2, sym)
 
 
 def test_weight_constructors():
@@ -175,8 +224,11 @@ def test_weight_spaces_rejects_non_diagonal():
     gens = dict(rep.gens)
     gens["w1"] = Matrix(2, 2, {(1, 2): sym.one, (2, 1): sym.one})
     broken = Representation(2, 2, gens, sym, rep.weights)
-    with pytest.raises(NonDiagonalAction):
+    with pytest.raises(NonDiagonalAction,
+                       match=r"^w1 .* basis vector 1 .* \(1, 0\)$") as exc:
         weight_spaces(broken)
+    assert exc.value.witness == {"witness_basis_index": 1,
+                                 "lhs": {2: sym.one}, "rhs": {1: sym.r}}
     # the right diagonal plus one off-diagonal entry
     gens["w1"] = rep.w(1) + Matrix(2, 2, {(1, 2): sym.one})
     broken = Representation(2, 2, gens, sym, rep.weights)
@@ -193,16 +245,53 @@ def test_weight_spaces_verifies_the_carried_weights():
     # character of the weights eps_1, eps_2 that the natural module carries
     rep = natural_rep(2, sym)
     gens = dict(rep.gens, w1=Matrix.diagonal([sym.s, sym.r]))
-    with pytest.raises(NonDiagonalAction, match=r"w1 .* basis vector 1 "):
+    with pytest.raises(NonDiagonalAction, match=r"w1 .* basis vector 1 ") as exc:
         weight_spaces(Representation(2, 2, gens, sym, rep.weights))
+    assert exc.value.witness == {"witness_basis_index": 1,
+                                 "lhs": {1: sym.s}, "rhs": {1: sym.r}}
     # w1' rescaled at one basis vector of the tensor square
     rep2 = tensor_power_rep(2, 2, smp)
     ent = dict(rep2.wp(1).entries)
     ent[(3, 3)] *= 5
     gens = dict(rep2.gens, wp1=Matrix(4, 4, ent))
     with pytest.raises(NonDiagonalAction,
-                       match=r"wp1 .* basis vector 3 .*\(1, 1\)"):
+                       match=r"wp1 .* basis vector 3 .*\(1, 1\)") as exc:
         weight_spaces(Representation(2, 4, gens, smp, rep2.weights))
+    assert exc.value.witness == {"witness_basis_index": 3,
+                                 "lhs": {3: Fraction(30)}, "rhs": {3: Fraction(6)}}
+
+
+def test_weight_spaces_accept_equal_but_not_identical_characters():
+    # the carried characters are memoized objects; a rebuilt generator
+    # holds equal values in new objects and must pass all the same
+    def rebuilt(v):
+        if isinstance(v, Fraction):
+            return Fraction(v.numerator, v.denominator)
+        return RatFunc(v.num, v.den)
+
+    for field in (smp, sym):
+        rep = tensor_power_rep(3, 2, field)
+        gens = dict(rep.gens)
+        for name in ("w1", "wp1", "w2", "wp2"):
+            ent = {key: rebuilt(v) for key, v in rep.gens[name].entries.items()}
+            assert all(ent[key] is not v
+                       for key, v in rep.gens[name].entries.items())
+            gens[name] = Matrix(9, 9, ent)
+        copy = Representation(3, 9, gens, field, rep.weights)
+        assert weight_spaces(copy) == weight_spaces(rep)
+
+
+def test_weight_spaces_are_the_eliminated_unit_vectors():
+    one = smp.one
+    for rep in (tensor_power_rep(3, 3, smp),
+                build_wedge_module(4, 2, smp).induced):
+        spaces = weight_spaces(rep)
+        assert sum(sp.dim for sp in spaces.values()) == rep.dim
+        for w, sp in spaces.items():
+            idxs = [t for t, wt in enumerate(rep.weights, 1) if wt == w]
+            ref = Subspace.from_vectors(rep.dim, [{t: one} for t in idxs])
+            assert sp.pivots == ref.pivots and sp.basis == ref.basis
+            assert sp == ref
 
 
 def test_highest_weight_vectors_natural():
@@ -254,3 +343,5 @@ def test_representation_shape_validation():
     with pytest.raises(ValueError):
         Representation(2, 2, {"e1": Matrix.zero(2, 2)}, smp,
                        [Weight((0, 0))] * 3)
+    with pytest.raises(ValueError, match="^generator e1 has wrong shape$"):
+        Representation(2, 2, {"e1": Matrix(3, 3)}, smp, [Weight((0, 0))] * 2)
