@@ -17,17 +17,16 @@ single monomial: w_i, w_i' are group-like, e_i acts on one factor with
 the w_i eigenvalues of the factors before it, and f_i with the w_i'
 eigenvalues of the factors after it.  It yields one term list per
 monomial, which both consumers read: tensor_action turns it into the
-image of one monomial (the wedge modules apply it without building any
-matrix on V^{x k}), and tensor_power_rep places each term of a column
-by the stride of its tensor position, building each generator's matrix
-only when it is first looked up.
+image of one monomial, and _tensor_generator builds one generator's
+matrix by placing each term of a column by the stride of its tensor
+position.  tensor_power_rep builds each generator only when it is first
+looked up; the wedge modules build each one, use it and drop it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .linalg import Matrix, Subspace, kernel_image_rank
@@ -120,10 +119,8 @@ def _generator_names(n):
     return [_gen_name(fam, i) for fam in _GEN_FAMILIES for i in range(1, n)]
 
 
-@lru_cache(maxsize=1024)
 def _parse_gen(name):
-    """Split a generator key into (family, index, inverted).  Cached, as
-    tensor_action parses its name once per monomial."""
+    """Split a generator key into (family, index, inverted)."""
     inv = name.endswith("_inv")
     base = name[:-4] if inv else name
     fam = "wp" if base.startswith("wp") else base[:1]
@@ -204,54 +201,54 @@ def tensor_power_rep(n, k, field):
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
-    tuples = list(product(range(1, n + 1), repeat=k))
-    return Representation(n, len(tuples), _TensorGenerators(n, tuples, field),
-                          field, [_content(tup, n) for tup in tuples])
+    return Representation(n, n**k, _TensorGenerators(n, k, field), field,
+                          [_content(tup, n)
+                           for tup in product(range(1, n + 1), repeat=k)])
 
 
 class _TensorGenerators(Mapping):
     """The generators of V^{x k} by name, in the order of
     _generator_names; read-only, each matrix built on first lookup."""
 
-    __slots__ = ("_n", "_tuples", "_field", "_parsed", "_built")
+    __slots__ = ("_n", "_k", "_field", "_built")
 
-    def __init__(self, n, tuples, field):
+    def __init__(self, n, k, field):
         self._n = n
-        self._tuples = tuples
+        self._k = k
         self._field = field
-        self._parsed = {name: _parse_gen(name) for name in _generator_names(n)}
-        self._built = {}
+        self._built = dict.fromkeys(_generator_names(n))
 
     def __getitem__(self, name):
-        mat = self._built.get(name)
+        mat = self._built[name]
         if mat is None:
-            fam, i, inv = self._parsed[name]
-            mat = self._built[name] = self._build(fam, i, inv)
+            mat = self._built[name] = _tensor_generator(
+                self._field, self._n, self._k, name)
         return mat
 
     def __contains__(self, name):
-        return name in self._parsed
+        return name in self._built
 
     def __iter__(self):
-        return iter(self._parsed)
+        return iter(self._built)
 
     def __len__(self):
-        return len(self._parsed)
+        return len(self._built)
 
-    def _build(self, fam, i, inv):
-        # term (pos, t, c) of column col replaces factor pos of the
-        # col-th tuple by v_t, which moves the index by (t - tup[pos])
-        # times the place value n^(k-1-pos) of that factor
-        n, tuples, field = self._n, self._tuples, self._field
-        k = len(tuples[0])
-        strides = [n ** (k - 1 - pos) for pos in range(k)]
-        ent = {}
-        for col, tup in enumerate(tuples, 1):
-            for pos, t, c in _action_terms(field, fam, i, inv, tup):
-                row = col if pos is None else col + (t - tup[pos]) * strides[pos]
-                ent[(row, col)] = c
-        dim = len(tuples)
-        return Matrix(dim, dim, ent, _clean=True)
+
+def _tensor_generator(field, n, k, name):
+    """Matrix of one generator on V^{x k}; column col is its action on
+    the col-th tuple in lexicographic order."""
+    # term (pos, t, c) of column col replaces factor pos of the col-th
+    # tuple by v_t, which moves the index by (t - tup[pos]) times the
+    # place value n^(k-1-pos) of that factor
+    fam, i, inv = _parse_gen(name)
+    strides = [n ** (k - 1 - pos) for pos in range(k)]
+    ent = {}
+    for col, tup in enumerate(product(range(1, n + 1), repeat=k), 1):
+        for pos, t, c in _action_terms(field, fam, i, inv, tup):
+            row = col if pos is None else col + (t - tup[pos]) * strides[pos]
+            ent[(row, col)] = c
+    return Matrix(n**k, n**k, ent, _clean=True)
 
 
 def _action_terms(field, fam, i, inv, tup):

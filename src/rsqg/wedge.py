@@ -5,7 +5,7 @@ v_i x v_i and v_i x v_j + s v_j x v_i (i < j), and the (r,s)-exterior
 square spanned by v_i x v_j - r v_j x v_i, each written once (_SQUARES);
 both are cut out by the spectral R-matrix at r s^{-1} and r^{-1} s.  The
 k-th wedge module is the quotient of V^{x k} by S2 inserted at every
-adjacent pair of factors, placed as R is (linalg.pair_placements).
+adjacent pair of factors, each written once at its larger ambient index.
 
 Every relation vector has one or two nonzero coordinates, so the relation
 span is a gain graph on the n^k tensor indices (Zaslavsky, "Biased graphs
@@ -22,14 +22,14 @@ take what they certify: an R(z), or a QuotientModule with its n, k, field.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 from .linalg import (Matrix, QuotientData, Subspace, _Echelon, tensor_index,
-                     kernel_image_rank, pair_placements, tensor_tuple)
+                     kernel_image_rank, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
-                   NonDiagonalAction, Representation, Weight, _content,
-                   _generator_names, check_defining_relations, tensor_action,
-                   weight_char, weight_spaces)
+                   NonDiagonalAction, Representation, Weight, _compare,
+                   _content, _generator_names, _tensor_generator,
+                   check_defining_relations, weight_char, weight_spaces)
 
 
 class WellDefinednessFailure(AssertionError):
@@ -40,27 +40,38 @@ _SQUARES = {"sym2": lambda field: (field.s, True),
             "alt2": lambda field: (-field.r, False)}
 
 
-def _square_vectors(n, field, name):
-    """Spanning vectors in V x V of a square, written once in _SQUARES as
-    (c, diagonal): v_i x v_i if diagonal, then v_i x v_j + c v_j x v_i, i<j."""
+def _insertion_vectors(n, k, field, square="sym2"):
+    """A square, written once in _SQUARES as (c, diagonal), inserted at
+    every adjacent pair of factors of V^{x k}: sparse vectors, each once at
+    its larger index b, b increasing.  Where factors (p, p + 1) of b hold
+    i > j, e_a + c e_b with a the index of b with the two swapped; where
+    they hold i == j, e_b if diagonal.  For S2, a repeated entry thus dies
+    at its sorted tuple, the first index of its component, and a live
+    tuple links straight under its root."""
     if n < 1:
         raise InvalidRank("rank parameter n must be at least 1")
-    c, diagonal = _SQUARES[name](field)
+    c, diagonal = _SQUARES[square](field)
     one = field.one
-    return ([{tensor_index((i, i), n): one}
-             for i in range(1, n + 1) if diagonal]
-            + [{tensor_index((i, j), n): one, tensor_index((j, i), n): c}
-               for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    # swapping i > j on factors (p, p + 1) lowers the index by (i - j) drop[p]
+    drop = [n**(k - 1 - p) - n**(k - 2 - p) for p in range(k - 1)]
+    for b, tup in enumerate(product(range(n), repeat=k), 1):
+        for p, step in enumerate(drop):
+            i, j = tup[p], tup[p + 1]
+            if i > j:
+                yield {b - (i - j) * step: one, b: c}
+            elif i == j and diagonal:
+                yield {b: one}
 
 
 def sym2(n, field):
     """The (r,s)-symmetric square of V inside V x V."""
-    return Subspace.from_vectors(n * n, _square_vectors(n, field, "sym2"))
+    return Subspace.from_vectors(n * n, _insertion_vectors(n, 2, field))
 
 
 def alt2(n, field):
     """The (r,s)-exterior square of V inside V x V."""
-    return Subspace.from_vectors(n * n, _square_vectors(n, field, "alt2"))
+    return Subspace.from_vectors(n * n,
+                                 _insertion_vectors(n, 2, field, "alt2"))
 
 
 def spectral_projector_check(rz):
@@ -94,17 +105,6 @@ def _compare_subspaces(name, n, got, want):
     return CheckItem(name, (n,), False, {"witness_basis_index": p,
                                          "lhs": lhs.get(p, {}),
                                          "rhs": rhs.get(p, {})})
-
-
-def _insertion_vectors(n, k, field):
-    """The S2 spanning vectors at every pair_placements position of
-    V^{x k}, as sparse ambient coordinate vectors (deterministic order)."""
-    vecs = _square_vectors(n, field, "sym2")
-    for pos in range(1, k):
-        for block in pair_placements(n, pos, k):
-            for vec in vecs:
-                for place in block:
-                    yield {place[l - 1]: c for l, c in vec.items()}
 
 
 def wedge_dimension(n, k, field):
@@ -185,29 +185,33 @@ def _straighten(n, k, field, qd, labels, tup):
     return {labels[i - 1]: c for i, c in sorted(out.items())}
 
 
-def _induced_generator(field, n, k, qd, name):
-    """Matrix of a generator on the quotient, guarded per ambient basis
-    vector t: projection(g e_t) must equal g_hat projection(e_t)."""
-    images = [qd.project_vector(
-        {tensor_index(u, n): c
-         for u, c in tensor_action(field, n, name, tensor_tuple(t, n, k)).items()})
-        for t in range(1, n**k + 1)]
-    d = len(qd.rep_indices)
-    mat = Matrix(d, d, {(i, col): v
-                        for col, t in enumerate(qd.rep_indices, 1)
-                        for i, v in images[t - 1].items()}, _clean=True)
-    for t, img in enumerate(images, 1):
-        want = mat.apply(qd.projection.col(t))
-        if img != want:
-            lhs, rhs = ("{" + ", ".join(f"{i}: {v}"
-                                        for i, v in sorted(vec.items())) + "}"
-                        for vec in (img, want))
-            raise WellDefinednessFailure(
-                f"{name} does not preserve the relations at (n, k) = "
-                f"({n}, {k}): at the ambient basis tuple t = "
-                f"{tensor_tuple(t, n, k)}, projection({name} e_t) = {lhs} "
-                f"but {name} projection(e_t) = {rhs}")
-    return mat
+def _induced_generators(field, n, k, qd):
+    """The generators on the quotient, each guarded by one identity: with P
+    the projection, G the generator on V^{x k} and J the embedding of the
+    representatives, G_hat = (P G) J and P G = G_hat P iff G preserves the
+    relations; a failure names the first ambient tuple where it breaks."""
+    proj, reps = qd.projection, qd.rep_indices
+    emb = Matrix(n**k, len(reps),
+                 {(t, col): field.one for col, t in enumerate(reps, 1)},
+                 _clean=True)
+    gens = {}
+    for name in _generator_names(n):
+        # one ambient generator at a time: all 6(n - 1) cost memory
+        lhs = proj * _tensor_generator(field, n, k, name)
+        mat = gens[name] = lhs * emb
+        bad = _compare(name, (), lhs, mat * proj).witness
+        if bad is None:
+            continue
+        img, want = ("{" + ", ".join(f"{i}: {v}" for i, v in
+                                     sorted(bad[side].items())) + "}"
+                     for side in ("lhs", "rhs"))
+        raise WellDefinednessFailure(
+            f"{name} does not preserve the relations at (n, k) = "
+            f"({n}, {k}): at the ambient basis tuple t = "
+            f"{tensor_tuple(bad['witness_basis_index'], n, k)}, "
+            f"projection({name} e_t) = {img} "
+            f"but {name} projection(e_t) = {want}")
+    return gens
 
 
 class QuotientModule:
@@ -249,8 +253,8 @@ class QuotientModule:
 def build_wedge_module(n, k, field):
     """Quotient of V^{x k} by all S2 insertions, with induced generators.
 
-    Verifies that every generator preserves the relations, one ambient
-    basis vector at a time (WellDefinednessFailure otherwise), and that the
+    Verifies that every generator preserves the relations, as one matrix
+    identity per generator (WellDefinednessFailure otherwise), and that the
     induced matrices satisfy the defining relations.  Each basis vector
     carries the content of its label as its weight.  For k > n this is the
     zero module.
@@ -260,9 +264,8 @@ def build_wedge_module(n, k, field):
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
     qd, labels = _wedge_quotient(n, k, field)
-    gens = {name: _induced_generator(field, n, k, qd, name)
-            for name in _generator_names(n)}
-    induced = Representation(n, len(labels), gens, field,
+    induced = Representation(n, len(labels),
+                             _induced_generators(field, n, k, qd), field,
                              [_content(lab, n) for lab in labels])
     report = check_defining_relations(induced)
     if not report.ok:

@@ -127,3 +127,23 @@ def kron_tensor_power(n, k, field):
         gens[f"e{i}"] = emat
         gens[f"f{i}"] = fmat
     return gens
+
+
+def corrupt_ambient_generator(monkeypatch, name, src, dst):
+    """Make the generator name on V^{x k}, as the wedge builds it, send
+    v_src to v_dst (coefficient 1) and leave every other column alone."""
+    import rsqg.wedge as wedge_mod
+    from rsqg import tensor_index
+
+    real = wedge_mod._tensor_generator
+
+    def corrupted(field, n, k, gen):
+        mat = real(field, n, k, gen)
+        if gen != name:
+            return mat
+        t = tensor_index(src, n)
+        ent = {key: v for key, v in mat.entries.items() if key[1] != t}
+        ent[(tensor_index(dst, n), t)] = field.one
+        return Matrix(mat.rows, mat.cols, ent)
+
+    monkeypatch.setattr(wedge_mod, "_tensor_generator", corrupted)

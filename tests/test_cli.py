@@ -5,6 +5,8 @@ import pytest
 import rsqg.cli as cli
 from rsqg import CheckItem, CheckReport, Matrix
 
+from helpers import corrupt_ambient_generator
+
 
 def run_cli(capsys, *argv):
     try:
@@ -218,16 +220,8 @@ def test_verify_report_failure_exits_1(capsys, monkeypatch):
 
 
 def test_wedge_well_definedness_failure_exits_3(capsys, monkeypatch):
-    import rsqg.wedge as wedge_mod
-    real = wedge_mod.tensor_action
-
-    def swapped(field, n, name, tup):
-        # e1 sends v2 x v1 to v1 x v2, which breaks the quotient
-        if name == "e1" and tup == (2, 1):
-            return {(1, 2): field.one}
-        return real(field, n, name, tup)
-
-    monkeypatch.setattr(wedge_mod, "tensor_action", swapped)
+    # e1 sends v2 x v1 to v1 x v2, which breaks the quotient
+    corrupt_ambient_generator(monkeypatch, "e1", (2, 1), (1, 2))
     code, out, err = run_cli(capsys, "wedge", "-n", "2", "-k", "2")
     assert code == 3
     assert out == ""

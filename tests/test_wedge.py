@@ -12,8 +12,9 @@ from rsqg import (InvalidPower, InvalidRank, SampledField, SpectralRMatrix,
                   highest_weight_vectors, natural_rep,
                   spectral_projector_check, straighten, sym2, tensor_index,
                   verify_fundamental, wedge_dimension, weight_spaces)
+from rsqg.linalg import pair_placements
 
-from helpers import dense_rank
+from helpers import corrupt_ambient_generator, dense_rank
 
 sym = SymbolicField()
 smp = SampledField(2, 3)
@@ -123,6 +124,32 @@ def test_wedge_dimension_against_dense_oracle(monkeypatch):
     for n, want in ((3, 0), (4, 3)):
         rank = dense_rank(list(corrupted(n, 3, smp)), n**3)
         assert wedge_dimension(n, 3, smp) == n**3 - rank == want
+
+
+@pytest.mark.parametrize("field", [smp, sym], ids=["sampled", "symbolic"])
+@pytest.mark.parametrize("square, c, diagonal", [
+    ("sym2", lambda f: f.s, True), ("alt2", lambda f: -f.r, False)])
+def test_insertion_vectors_are_the_position_major_set(field, square, c,
+                                                      diagonal):
+    # the square in V x V, written out here, placed position by position
+    # through pair_placements gives the same set, each vector once, and
+    # _insertion_vectors yields it in nondecreasing order of the larger index
+    one, c = field.one, c(field)
+    for n, k in ((2, 3), (3, 3), (4, 3), (3, 4)):
+        vecs = ([{tensor_index((i, i), n): one}
+                 for i in range(1, n + 1) if diagonal]
+                + [{tensor_index((i, j), n): one, tensor_index((j, i), n): c}
+                   for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        want = [{place[l - 1]: v for l, v in vec.items()}
+                for pos in range(1, k) for block in pair_placements(n, pos, k)
+                for vec in vecs for place in block]
+        got = list(wedge_mod._insertion_vectors(n, k, field, square))
+        assert all(isinstance(vec, dict) for vec in got)
+        assert len(got) == len(want), (n, k)
+        assert ({frozenset(vec.items()) for vec in got}
+                == {frozenset(vec.items()) for vec in want}), (n, k)
+        larger = [max(vec) for vec in got]
+        assert larger == sorted(larger), (n, k)
 
 
 def test_gain_graph_pass_ignores_relation_order(monkeypatch):
@@ -327,18 +354,31 @@ def test_verify_fundamental_bounds():
 def test_well_definedness_guard_fires_on_corruption(monkeypatch):
     # sabotage the generator action: a map that does not preserve the
     # relation subspace must be rejected
-    real = wedge_mod.tensor_action
-
-    def corrupted(field, n, name, tup):
-        if name == "e1" and tup == (2, 1):
-            return {(1, 2): field.one}
-        return real(field, n, name, tup)
-
-    monkeypatch.setattr(wedge_mod, "tensor_action", corrupted)
+    corrupt_ambient_generator(monkeypatch, "e1", (2, 1), (1, 2))
     with pytest.raises(WellDefinednessFailure) as info:
         build_wedge_module(2, 2, smp)
     # the message names the generator and the ambient basis tuple
     assert "e1" in str(info.value) and "(2, 1)" in str(info.value)
+
+
+@pytest.mark.parametrize("field", [smp, sym], ids=["sampled", "symbolic"])
+@pytest.mark.parametrize("name, src, dst, where, img, want", [
+    # f1 v1 x v3 = v1 x v2 changes the induced f1 on v1 ^ v3, so the
+    # first tuple to fail is (3, 1) in the same component, not (1, 3)
+    ("f1", (1, 3), (1, 2), (3, 1), "{3: -s^-1}", "{1: -s^-1}"),
+    # v2 x v2 is dead, but e1 v2 x v2 = v1 x v3 is not
+    ("e1", (2, 2), (1, 3), (2, 2), "{2: 1}", "{}")])
+def test_well_definedness_guard_names_the_first_failing_tuple(
+        monkeypatch, field, name, src, dst, where, img, want):
+    corrupt_ambient_generator(monkeypatch, name, src, dst)
+    with pytest.raises(WellDefinednessFailure) as info:
+        build_wedge_module(3, 2, field)
+    s_inv = str(-(field.s**-1))
+    assert str(info.value) == (
+        f"{name} does not preserve the relations at (n, k) = (3, 2): at "
+        f"the ambient basis tuple t = {where}, projection({name} e_t) = "
+        f"{img.replace('-s^-1', s_inv)} but {name} projection(e_t) = "
+        f"{want.replace('-s^-1', s_inv)}")
 
 
 def test_wedge_json_shape():
