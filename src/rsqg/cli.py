@@ -196,16 +196,26 @@ def _cmd_weights(args, field):
 
 
 def _attach_negative_rationals(argv):
-    """argparse takes a value such as -2/7 for an option string, so join
-    it to its option: "--r -2/7" becomes "--r=-2/7"."""
+    """argparse takes a value such as -2/7 or -1e3 for an option string,
+    so join it to its option: "--r -2/7" becomes "--r=-2/7".  A value
+    with a slash is joined even if malformed, so that it is reported as
+    an invalid rational; an option name never parses as one."""
     out = []
     for tok in argv:
-        if (out and out[-1] in ("-z", "--r", "--s")
-                and tok.startswith("-") and "/" in tok):
+        if (out and out[-1] in ("-z", "--r", "--s") and tok.startswith("-")
+                and ("/" in tok or _parses_as_rational(tok))):
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
+
+
+def _parses_as_rational(text):
+    try:
+        _rational(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
 
 
 _COMMANDS = {"rep": _cmd_rep, "rmatrix": _cmd_rmatrix, "verify": _cmd_verify,

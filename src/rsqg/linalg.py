@@ -11,13 +11,13 @@ membership, kernel/image/rank and the inverse.  Quotients need none:
 QuotientData only holds coset representatives and a projection, which
 rsqg.wedge builds directly from its gain graph.
 
-Matrices over Q, the sampled field, have a second representation:
-integer columns over one positive common denominator, so that the
-products, sums and comparisons of the sampled checks multiply ints and
-normalize no Fraction per entry.  Matrix builds it from the entries on
-first use when every entry is an int or a Fraction; any other entry (a
-RatFunc) keeps the generic path.  Results of that arithmetic turn into
-normalized Fractions only when their entries are read.
+Matrix arithmetic runs on one column form over every field: columns
+{j: {i: v}} over one positive common denominator den.  Over Q, the
+sampled field, the values are ints, so that the products, sums and
+comparisons of the sampled checks multiply ints and normalize no
+Fraction per entry; over Q(r, s) they are the entries themselves over
+den = 1.  Matrix builds the form from the entries on first use, and the
+entries of a result turn into normalized Fractions over Q only when read.
 """
 
 from __future__ import annotations
@@ -64,12 +64,16 @@ def pair_placements(n, pos, count):
 class Matrix:
     """Sparse matrix with 1-based indices over any exact scalar type.
 
-    Over Q its integer form (den, {j: {i: int}}) is cached in _q like the
-    column index in _colidx, since a Matrix is never mutated; a result of
-    integer arithmetic holds only _q until entries is read.
+    All arithmetic runs on the column form (den, {j: {i: v}}), entry
+    (i, j) = v / den with den > 0 and no zero v, built from the entries
+    on first use and cached in _q, since a Matrix is never mutated.  Over
+    Q the values are ints over the lcm of the entry denominators; over any
+    other field (Q(r, s)) they are the entries themselves over den = 1,
+    and arithmetic with a matrix over Q may leave them over its den.  A
+    result of arithmetic holds only _q until entries is read.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_colidx", "_q")
+    __slots__ = ("rows", "cols", "_entries", "_q")
 
     def __init__(self, rows, cols, entries=None, _clean=False):
         rows, cols = int(rows), int(cols)
@@ -77,7 +81,6 @@ class Matrix:
             raise ValueError("negative matrix dimension")
         self.rows = rows
         self.cols = cols
-        self._colidx = None
         self._q = None
         if entries is None:
             self._entries = {}
@@ -93,10 +96,10 @@ class Matrix:
             self._entries = clean
 
     @classmethod
-    def _from_ints(cls, rows, cols, q):
+    def _from_form(cls, rows, cols, q):
         mat = cls.__new__(cls)
         mat.rows, mat.cols = rows, cols
-        mat._entries = mat._colidx = None
+        mat._entries = None
         mat._q = q
         return mat
 
@@ -116,61 +119,50 @@ class Matrix:
 
     @property
     def entries(self):
-        """The dict (i, j) -> nonzero scalar; normalized Fractions for a
-        matrix that only holds the integer form."""
+        """The dict (i, j) -> nonzero scalar; normalized Fractions over Q
+        for a result of arithmetic."""
         ent = self._entries
         if ent is None:
             den, cols = self._q
-            ent = self._entries = {(i, j): Fraction(v, den)
-                                   for j, col in cols.items()
-                                   for i, v in col.items()}
+            ent = self._entries = {(i, j): v for j, col in cols.items()
+                                   for i, v in _over(col, den).items()}
         return ent
 
-    def _ints(self):
-        """(den, {j: {i: int}}) with entry (i, j) = int / den, or False if
-        some entry is not rational (the first entry of a Q(r, s) matrix
-        already is not, so that costs one type check)."""
+    def _form(self):
+        """(den, {j: {i: v}}) with entry (i, j) = v / den."""
         q = self._q
         if q is None:
             ent = self._entries
-            if all(type(v) in _RATIONAL for v in ent.values()):
-                den = lcm(*{v.denominator for v in ent.values()})
-                cols = {}
-                for (i, j), v in ent.items():
-                    cols.setdefault(j, {})[i] = v.numerator * (den // v.denominator)
-                q = (den, cols)
-            else:
-                q = False
-            self._q = q
+            rational = all(type(v) in _RATIONAL for v in ent.values())
+            den = (lcm(*{v.denominator for v in ent.values()}) if rational
+                   else 1)
+            cols = {}
+            for (i, j), v in ent.items():
+                cols.setdefault(j, {})[i] = (
+                    v.numerator * (den // v.denominator) if rational else v)
+            q = self._q = (den, cols)
         return q
 
     def get(self, i, j):
         return self.entries.get((i, j))
 
     def is_zero(self):
-        if self._entries is None:
-            return not self._q[1]
-        return not self._entries
+        return not self._form()[1]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        qa = self._ints()
-        qb = qa and other._ints()
-        if not qb:
-            return self.entries == other.entries
-        if qa[0] == qb[0]:
-            return qa[1] == qb[1]
-        # cross-multiplied: A - B over the common denominator vanishes
-        return not _int_sum(qa, qb, -1)[1]
+        (da, ca), (db, cb) = self._form(), other._form()
+        if da == db:
+            return ca == cb
+        # both over the least common denominator
+        g = gcd(da, db)
+        return _times(ca, db // g) == _times(cb, da // g)
 
     def __neg__(self):
-        if self._ints():
-            return self.scale(-1)
-        return Matrix(self.rows, self.cols,
-                      {k: -v for k, v in self.entries.items()}, _clean=True)
+        return self.scale(-1)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -182,58 +174,24 @@ class Matrix:
         # self + sign * other
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix sum")
-        qa = self._ints()
-        qb = qa and other._ints()
-        if qb:
-            return Matrix._from_ints(self.rows, self.cols, _int_sum(qa, qb, sign))
-        if sign < 0:
-            other = -other
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            cur = out.get(k)
-            nv = v if cur is None else cur + v
-            if nv:
-                out[k] = nv
-            elif cur is not None:
-                del out[k]
-        return Matrix(self.rows, self.cols, out, _clean=True)
+        return Matrix._from_form(self.rows, self.cols,
+                                 _sum(self._form(), other._form(), sign))
 
     def scale(self, c):
         if not c:
             return Matrix.zero(self.rows, self.cols)
-        q = type(c) in _RATIONAL and self._ints()
-        if q:
-            den, cols = q
-            num = c.numerator
-            return Matrix._from_ints(self.rows, self.cols, (den * c.denominator, {
-                j: {i: num * v for i, v in col.items()} for j, col in cols.items()}))
-        return Matrix(self.rows, self.cols,
-                      {k: c * v for k, v in self.entries.items()}, _clean=True)
+        den, cols = self._form()
+        if type(c) in _RATIONAL:
+            den, c = den * c.denominator, c.numerator
+        return Matrix._from_form(self.rows, self.cols, (den, _times(cols, c)))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        qa = self._ints()
-        qb = qa and other._ints()
-        if qb:
-            return Matrix._from_ints(self.rows, other.cols, _int_product(qa, qb))
-        bycol = self._columns()
-        out = {}
-        for (k, j), b in other.entries.items():
-            col = bycol.get(k)
-            if not col:
-                continue
-            for i, a in col.items():
-                key = (i, j)
-                cur = out.get(key)
-                nv = a * b if cur is None else cur + a * b
-                if nv:
-                    out[key] = nv
-                elif cur is not None:
-                    del out[key]
-        return Matrix(self.rows, other.cols, out, _clean=True)
+        return Matrix._from_form(self.rows, other.cols,
+                                 _product(self._form(), other._form()))
 
     def kron(self, other):
         rb, cb = other.rows, other.cols
@@ -245,33 +203,21 @@ class Matrix:
                 out[(br + p, bc + q)] = a * b
         return Matrix(self.rows * rb, self.cols * cb, out, _clean=True)
 
-    def _columns(self):
-        if self._colidx is None:
-            cols = {}
-            for (i, j), v in self.entries.items():
-                cols.setdefault(j, {})[i] = v
-            self._colidx = cols
-        return self._colidx
-
     def col(self, j):
-        return dict(self._columns().get(j, {}))
+        den, cols = self._form()
+        return _over(cols.get(j, {}), den)
 
     def apply(self, vec):
         """Matrix times column vector (dict index -> scalar)."""
-        cols = self._columns()
-        out = {}
+        den, cols = self._form()
+        acc = {}
         for j, x in vec.items():
             col = cols.get(j)
-            if not col:
+            if col is None:
                 continue
             for i, a in col.items():
-                cur = out.get(i)
-                nv = a * x if cur is None else cur + a * x
-                if nv:
-                    out[i] = nv
-                elif cur is not None:
-                    del out[i]
-        return out
+                acc[i] = acc.get(i, 0) + x * a
+        return _over(acc, den)
 
     def to_json(self):
         ent = self.entries
@@ -285,8 +231,25 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _int_product(qa, qb):
-    """Integer form of A B from those of A and B."""
+def _over(col, den):
+    """The nonzero values v / den of a column, in the field of v; an int
+    over den reads as a normalized Fraction."""
+    return {i: Fraction(v, den) if type(v) is int
+            else v if den == 1 else v / den for i, v in col.items() if v}
+
+
+def _times(cols, m):
+    """Columns m * cols; a factor of 1 or -1 multiplies nothing, and a
+    factor of 1 shares the columns (no column of a form is mutated)."""
+    if m == 1:
+        return dict(cols)
+    if m == -1:
+        return {j: {i: -v for i, v in col.items()} for j, col in cols.items()}
+    return {j: {i: m * v for i, v in col.items()} for j, col in cols.items()}
+
+
+def _product(qa, qb):
+    """Column form of A B from those of A and B."""
     (da, ca), (db, cb) = qa, qb
     out = {}
     for j, bcol in cb.items():
@@ -297,33 +260,33 @@ def _int_product(qa, qb):
                 continue
             for i, a in acol.items():
                 acc[i] = acc.get(i, 0) + a * b
-        if 0 in acc.values():
+        if not all(acc.values()):
             acc = {i: v for i, v in acc.items() if v}
         if acc:
             out[j] = acc
     return da * db, out
 
 
-def _int_sum(qa, qb, sign):
-    """Integer form of A + sign B over the least common denominator."""
+def _sum(qa, qb, sign):
+    """Column form of A + sign B over the least common denominator."""
     (da, ca), (db, cb) = qa, qb
     g = gcd(da, db)
     ma, mb = db // g, sign * (da // g)
-    out = {j: {i: ma * v for i, v in col.items()} if ma != 1 else dict(col)
-           for j, col in ca.items()}
-    for j, col in cb.items():
+    out = _times(ca, ma)
+    for j, col in _times(cb, mb).items():
         acc = out.get(j)
         if acc is None:
-            out[j] = {i: mb * v for i, v in col.items()}
+            out[j] = col
             continue
+        acc = dict(acc)
         for i, v in col.items():
-            acc[i] = acc.get(i, 0) + mb * v
-        if 0 in acc.values():
+            acc[i] = acc.get(i, 0) + v
+        if not all(acc.values()):
             acc = {i: v for i, v in acc.items() if v}
-            if acc:
-                out[j] = acc
-            else:
-                del out[j]
+        if acc:
+            out[j] = acc
+        else:
+            del out[j]
     return da * ma, out
 
 
@@ -451,10 +414,9 @@ def _dependent_columns(mat, field, ech):
     """Insert the columns of mat left to right into ech (which tracks
     history) and yield the kernel vector each dependent column certifies:
     its history, the combination of original columns that vanishes."""
-    cols = mat._columns()
     for j in range(1, mat.cols + 1):
         h = {j: field.one}
-        if ech.insert(cols.get(j, {}), h) is None:
+        if ech.insert(mat.col(j), h) is None:
             yield h
 
 

@@ -504,7 +504,9 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # 0 + x starts every sparse sum; it needs no reduction
+        return self if not other else self + other
 
     def __sub__(self, other):
         o = self._coerce(other)

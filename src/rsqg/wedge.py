@@ -109,10 +109,6 @@ def _compare_subspaces(name, n, got, want):
 
 def wedge_dimension(n, k, field):
     """dim of the k-th wedge quotient: the number of live gain-graph roots."""
-    if n < 2:
-        raise InvalidRank("rank parameter n must be at least 2")
-    if k < 0:
-        raise InvalidPower("tensor power k must be nonnegative")
     return len(_wedge_quotient(n, k, field)[1])
 
 
@@ -127,6 +123,10 @@ def _wedge_quotient(n, k, field):
     The live roots are the coset representatives, and column t of the
     projection is gain[t] at the row of t's root.
     """
+    if n < 2:
+        raise InvalidRank("rank parameter n must be at least 2")
+    if k < 0:
+        raise InvalidPower("tensor power k must be nonnegative")
     size = n**k
     parent = list(range(size + 1))
     gain = [field.one] * (size + 1)

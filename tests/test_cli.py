@@ -75,6 +75,15 @@ def test_negative_slash_rational_values(capsys):
         assert code == 0 and err == ""
         joined = run_cli(capsys, *argv[:-1], argv[-1] + "=-2/7")
         assert joined == (0, out, "")
+    # so must a negative rational in exponent form, for every such option
+    for opt, value in (("-z", "-1e3"), ("--r", "-1e3"), ("--s", "-2.5e-1")):
+        argv = ("rmatrix", "-n", "2", opt)
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 0 and err == "" and out
+        assert run_cli(capsys, *argv[:-1], f"{opt}={value}") == (0, out, "")
+    # an option name after -z stays an option, so -z lacks its value
+    code, out, _ = run_cli(capsys, "rmatrix", "-n", "2", "-z", "--symbolic")
+    assert code == 2 and out == ""
 
 
 def test_rep_tensor_and_check(capsys):

@@ -1,15 +1,18 @@
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from rsqg import (Matrix, Representation, SampledField, SingularInput,
-                  Subspace, SymbolicField, build_r, check_defining_relations,
-                  check_module_morphism, invert, kernel_image_rank,
-                  tensor_index, tensor_power_rep, tensor_tuple)
+from rsqg import (Matrix, RatFunc, Representation, SampledField,
+                  SingularInput, Subspace, SymbolicField, build_r,
+                  check_defining_relations, check_module_morphism, invert,
+                  kernel_image_rank, tensor_index, tensor_power_rep,
+                  tensor_tuple)
 
-from helpers import dense_mul, dense_rank, from_dense, random_sparse, to_dense
+from helpers import (dense_mul, dense_rank, from_dense, random_bipoly,
+                     random_ratfunc, random_sparse, to_dense)
 
 rng = random.Random(9157)
 smp = SampledField(2, 3)
@@ -46,6 +49,96 @@ def test_matrix_arithmetic_against_dense():
         assert (a + c) - c == a
         assert a.scale(Fraction(3, 2)) + a.scale(Fraction(-3, 2)) == Matrix.zero(4, 3)
         assert -(-a) == a
+    # over Q(r, s), alone and mixed with Q, entrywise at two generic points
+    sym = SymbolicField()
+    srng = random.Random(4242)
+    for _ in range(3):
+        a, c = _random_symbolic(srng, 3, 2), _random_symbolic(srng, 3, 2)
+        # polynomial entries in b keep the sums of products of a b cheap
+        b = _random_symbolic(srng, 2, 3,
+                             entry=lambda g: RatFunc(random_bipoly(g)))
+        qa, qb = random_sparse(srng, 3, 2, 0.6), random_sparse(srng, 2, 3, 0.6)
+        x, q = _nonzero_ratfunc(srng), Fraction(-3, 2)
+        vec = {j: _nonzero_ratfunc(srng) for j in (1, 2)}
+        qvec = {1: Fraction(2, 5), 2: Fraction(-7, 3)}
+        for pt in _POINTS:
+            A, B, C, QA, QB = (_at(m, pt) for m in (a, b, c, qa, qb))
+            X = x.evaluate(*pt)
+            for got, want in (
+                    (a * b, dense_mul(A, B)),
+                    (a * qb, dense_mul(A, QB)),
+                    (qa * b, dense_mul(QA, B)),
+                    (a + c, _dense_lin(A, 1, C)),
+                    (a - c, _dense_lin(A, -1, C)),
+                    (a + qa, _dense_lin(A, 1, QA)),
+                    (qa - a, _dense_lin(QA, -1, A)),
+                    (-a, _dense_scale(-1, A)),
+                    (a.scale(x), _dense_scale(X, A)),
+                    (a.scale(q), _dense_scale(q, A)),
+                    (qa.scale(x), _dense_scale(X, QA))):
+                assert _at(got, pt) == want
+            for m, dm in ((a, A), (qa, QA)):
+                for v in (vec, qvec):
+                    V = [[_value(v.get(j), pt)] for j in (1, 2)]
+                    col = dense_mul(dm, V)
+                    got = {i: _value(y, pt) for i, y in m.apply(v).items()}
+                    assert got == {i: row[0] for i, row in enumerate(col, 1)
+                                   if row[0]}
+        assert (a + c) - c == a and -(-a) == a and (a - a).is_zero()
+        assert a.scale(q) == a.scale(sym.from_fraction(q))
+        assert (a + qa) - qa == a and a * qb == a * qb.scale(q).scale(1 / q)
+        assert a.scale(x) != a and a + a.scale(x) == a.scale(x + sym.one)
+
+
+_POINTS = ((Fraction(5, 7), Fraction(-11, 3)),
+           (Fraction(-13, 4), Fraction(17, 19)))
+
+
+def _value(v, pt):
+    if v is None:
+        return Fraction(0)
+    return v.evaluate(*pt) if isinstance(v, RatFunc) else Fraction(v)
+
+
+def _at(mat, pt):
+    """Dense Fractions of mat with its Q(r, s) entries evaluated at pt."""
+    return [[_value(mat.get(i, j), pt) for j in range(1, mat.cols + 1)]
+            for i in range(1, mat.rows + 1)]
+
+
+def _dense_lin(a, c, b):
+    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _dense_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def _nonzero_ratfunc(rng):
+    v = random_ratfunc(rng)
+    while not v:
+        v = random_ratfunc(rng)
+    return v
+
+
+def _random_symbolic(rng, rows, cols, fill=0.6, entry=random_ratfunc):
+    return Matrix(rows, cols, {(i, j): entry(rng) for i in range(1, rows + 1)
+                               for j in range(1, cols + 1)
+                               if rng.random() < fill})
+
+
+def test_elimination_of_an_int_matrix_stays_exact():
+    # int entries reach the echelon kernel as Fractions, never as floats
+    kernel, image, rank = kernel_image_rank(
+        Matrix(2, 2, {(1, 1): 2, (1, 2): 4, (2, 1): 1, (2, 2): 2}), smp)
+    assert rank == 1
+    assert kernel.basis == [{1: -2, 2: 1}] and image.basis == [{1: 2, 2: 1}]
+    inv = invert(Matrix(2, 2, {(1, 1): 2, (2, 1): 1, (2, 2): 4}), smp)
+    assert inv.entries == {(1, 1): Fraction(1, 2), (2, 1): Fraction(-1, 8),
+                           (2, 2): Fraction(1, 4)}
+    for vals in ([v for vec in kernel.basis + image.basis
+                  for v in vec.values()], inv.entries.values()):
+        assert all(type(v) is Fraction for v in vals)
 
 
 def test_matrix_shape_errors():
@@ -264,7 +357,7 @@ def test_equal_matrices_with_different_denominators_compare_equal():
     a = Matrix(4, 4, ent)
     b = a.scale(Fraction(1, 6)).scale(6)
     c = (a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 3))).scale(Fraction(6, 5))
-    assert len({a._ints()[0], b._ints()[0], c._ints()[0]}) == 3
+    assert len({a._form()[0], b._form()[0], c._form()[0]}) == 3
     plain = Matrix(4, 4, _ref(ent))
     for x in (a, b, c):
         for y in (a, b, c, plain):
@@ -277,9 +370,10 @@ def test_equal_matrices_with_different_denominators_compare_equal():
 def test_integer_form_is_skipped_for_rational_functions():
     sym = SymbolicField()
     m = Matrix(2, 2, {(1, 1): sym.r, (2, 1): sym.one})
-    assert m._ints() is False
+    # Q(r, s) entries stand as themselves over den = 1
+    assert m._form() == (1, {1: {1: sym.r, 2: sym.one}})
     half = Matrix(2, 2, {(1, 2): Fraction(1, 2)})
-    # a Fraction matrix mixed with Q(r, s) entries takes the generic path
+    # a Fraction matrix mixed with Q(r, s) entries
     prod = m * half
     assert prod.entries == {(1, 2): sym.r * sym.from_fraction(Fraction(1, 2)),
                             (2, 2): sym.from_fraction(Fraction(1, 2))}
@@ -312,14 +406,71 @@ def test_sampled_checks_multiply_no_fractions(monkeypatch):
         R.apply({1: Fraction(1, 2)})
 
 
-def _fraction_path_reports(monkeypatch, checks):
-    with monkeypatch.context() as mp:
-        mp.setattr(Matrix, "_ints", lambda self: False)
-        return [check() for check in checks]
+def _dense_e1_rows(rep, R):
+    """(name, indices) -> (lhs, rhs) as dense Fraction matrices, for every
+    check row of a rank-3 V^{x 3} whose identity involves e1: w e1 =
+    r^<eps_i, alpha_1> s^<eps_{i+1}, alpha_1> e1 w and its w' twin,
+    [e1, f_j], the two Serre relations of (e1, e2), and R at both positions
+    commuting with e1.  Products are dense, of the generators and R times
+    one common denominator D, so that they multiply ints."""
+    fld = rep.field
+    r, s = fld.r, fld.s
+    dense = {name: to_dense(m) for name, m in dict(rep.gens, R=R).items()}
+    D = lcm(*(v.denominator for m in dense.values() for row in m for v in row))
+    # (p, M) stands for M / D^p
+    d = {name: (1, [[int(v * D) for v in row] for row in m])
+         for name, m in dense.items()}
+    e1, e2 = d["e1"], d["e2"]
+
+    def mul(*mats):
+        p, out = mats[0]
+        for q, m in mats[1:]:
+            p, out = p + q, dense_mul(out, m)
+        return p, out
+
+    def side(*terms):
+        # sum of c * M / D^p over the (c, (p, M)) terms
+        size = range(len(terms[0][1][1]))
+        return [[sum(c * Fraction(m[i][j], D**p) for c, (p, m) in terms
+                     if m[i][j]) for j in size] for i in size]
+
+    rows = {}
+    for i, (we, wpe) in ((1, (r / s, s / r)), (2, (1 / r, 1 / s))):
+        w, wp = d[f"w{i}"], d[f"wp{i}"]
+        rows[("R2:we", (i, 1))] = side((1, mul(w, e1))), side((we, mul(e1, w)))
+        rows[("R3:wpe", (i, 1))] = (side((1, mul(wp, e1))),
+                                    side((wpe, mul(e1, wp))))
+    for j in (1, 2):
+        f = d[f"f{j}"]
+        lhs = side((1, mul(e1, f)), (-1, mul(f, e1)))
+        rhs = side((1 / (r - s), d["w1"]), (-1 / (r - s), d["wp1"]))
+        rows[("R4", (1, j))] = lhs, rhs if j == 1 else side((0, e1))
+    e12, e21 = mul(e1, e2), mul(e2, e1)
+    for name, words in (("R6:a", (mul(e1, e12), mul(e12, e1), mul(e21, e1))),
+                        ("R6:b", (mul(e12, e2), mul(e21, e2), mul(e2, e21)))):
+        lhs = side(*zip((1, -(r + s), r * s), words))
+        rows[(name, (1,))] = lhs, side((0, e1))
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    rd = d["R"][1]
+    for pos, (left, right) in ((1, (rd, eye)), (2, (eye, rd))):
+        rp = (1, [[x * y for x in ra for y in rb]
+                  for ra in left for rb in right])
+        rows[("morphism", (pos, "e1"))] = (side((1, mul(rp, e1))),
+                                           side((1, mul(e1, rp))))
+    return rows
 
 
-def test_corrupted_generator_fails_the_same_rows_at_a_non_integral_pair(
-        monkeypatch):
+def _dense_witness(lhs, rhs):
+    """The first column where lhs and rhs differ, as _compare reports it."""
+    for j in range(len(lhs[0])):
+        cl = {i: row[j] for i, row in enumerate(lhs, 1) if row[j]}
+        cr = {i: row[j] for i, row in enumerate(rhs, 1) if row[j]}
+        if cl != cr:
+            return {"witness_basis_index": j + 1, "lhs": cl, "rhs": cr}
+    return None
+
+
+def test_corrupted_generator_fails_the_same_rows_at_a_non_integral_pair():
     field = SampledField(Fraction(1, 2), 3)
     rep = tensor_power_rep(3, 3, field)
     ent = dict(rep.e(1).entries)
@@ -328,14 +479,22 @@ def test_corrupted_generator_fails_the_same_rows_at_a_non_integral_pair(
     gens = dict(rep.gens, e1=Matrix(rep.dim, rep.dim, ent))
     bad = Representation(rep.n, rep.dim, gens, field, rep.weights)
     R = build_r(3, field)
-    checks = [lambda: check_defining_relations(bad),
-              lambda: check_module_morphism(R, bad)]
-    want = _fraction_path_reports(monkeypatch, checks)
-    got = [check() for check in checks]
-    for g, w in zip(got, want):
-        assert not g.ok and g.failures()
-        assert [(c.name, c.indices, c.ok) for c in g.checks] == [
-            (c.name, c.indices, c.ok) for c in w.checks]
-        assert [c.witness for c in g.checks] == [c.witness for c in w.checks]
-        assert g.to_json() == w.to_json()
+    clean = [check_defining_relations(rep), check_module_morphism(R, rep)]
+    got = [check_defining_relations(bad), check_module_morphism(R, bad)]
+    want = {row: _dense_witness(*sides)
+            for row, sides in _dense_e1_rows(bad, R).items()}
+    for g, c in zip(got, clean):
+        assert c.ok and not g.ok and g.failures()
+        assert [(x.name, x.indices) for x in g.checks] == [
+            (x.name, x.indices) for x in c.checks]
+        # a row fails exactly where its dense products differ, with their
+        # first differing column as the witness; rows without e1 pass
+        for x, row in zip(g.checks, g.to_json()):
+            w = want.get((x.name, x.indices))
+            assert x.ok == (w is None) and x.witness == w
+            if w is not None:
+                assert row["witness_basis_index"] == w["witness_basis_index"]
+                for side in ("lhs", "rhs"):
+                    assert row[side] == {str(i): str(v)
+                                         for i, v in sorted(w[side].items())}
     assert {c.name for c in got[0].failures()} >= {"R4", "R6:a"}

@@ -278,6 +278,17 @@ def test_straighten_standalone_matches_module():
     assert straighten(2, 2, (1, 1), smp) == {}
 
 
+def test_straighten_standalone_rejects_what_wedge_dimension_rejects():
+    # the same guards and messages as wedge_dimension, for both fields
+    for field in (smp, sym):
+        with pytest.raises(InvalidPower,
+                           match="^tensor power k must be nonnegative$"):
+            straighten(3, -1, (1,), field)
+        with pytest.raises(InvalidRank,
+                           match="^rank parameter n must be at least 2$"):
+            straighten(1, 2, (1, 1), field)
+
+
 def test_straighten_sign_rule_all_permutations():
     mod = build_wedge_module(3, 3, sym)
     for perm in permutations((1, 2, 3)):
