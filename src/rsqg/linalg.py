@@ -12,18 +12,20 @@ QuotientData only holds coset representatives and a projection, which
 rsqg.wedge builds directly from its gain graph.
 
 Matrix arithmetic runs on one column form over every field: columns
-{j: {i: v}} over one positive common denominator den.  Over Q, the
-sampled field, the values are ints, so that the products, sums and
-comparisons of the sampled checks multiply ints and normalize no
-Fraction per entry; over Q(r, s) they are the entries themselves over
-den = 1.  Matrix builds the form from the entries on first use, and the
-entries of a result turn into normalized Fractions over Q only when read.
+{j: {i: v}} over the lcm den of the entry denominators, with int values
+over a positive int den over Q (the sampled field) and BiPoly values
+over a monic BiPoly den over Q(r, s).  So the checks multiply and add
+integers or polynomials and reduce no fraction per entry; the entries of
+a result turn into Fractions or RatFuncs only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+
+from .scalars import (_ONE_TERMS, BiPoly, RatFunc, _b_divexact, _b_gcd,
+                      _div, _leading)
 
 _RATIONAL = frozenset((int, Fraction))
 
@@ -65,12 +67,12 @@ class Matrix:
     """Sparse matrix with 1-based indices over any exact scalar type.
 
     All arithmetic runs on the column form (den, {j: {i: v}}), entry
-    (i, j) = v / den with den > 0 and no zero v, built from the entries
-    on first use and cached in _q, since a Matrix is never mutated.  Over
-    Q the values are ints over the lcm of the entry denominators; over any
-    other field (Q(r, s)) they are the entries themselves over den = 1,
-    and arithmetic with a matrix over Q may leave them over its den.  A
-    result of arithmetic holds only _q until entries is read.
+    (i, j) = v / den with no zero v, built from the entries on first use
+    and cached in _q, since a Matrix is never mutated.  Over Q the values
+    are ints over the positive lcm of the entry denominators; over Q(r, s)
+    they are BiPoly numerators over the monic BiPoly lcm of the entry
+    denominators, so that products and sums reduce no fraction.  A result
+    of arithmetic holds only _q until entries is read.
     """
 
     __slots__ = ("rows", "cols", "_entries", "_q")
@@ -120,7 +122,7 @@ class Matrix:
     @property
     def entries(self):
         """The dict (i, j) -> nonzero scalar; normalized Fractions over Q
-        for a result of arithmetic."""
+        and canonical RatFuncs over Q(r, s) for a result of arithmetic."""
         ent = self._entries
         if ent is None:
             den, cols = self._q
@@ -133,13 +135,15 @@ class Matrix:
         q = self._q
         if q is None:
             ent = self._entries
-            rational = all(type(v) in _RATIONAL for v in ent.values())
-            den = (lcm(*{v.denominator for v in ent.values()}) if rational
-                   else 1)
+            if not all(type(v) in _RATIONAL for v in ent.values()):
+                ent = {k: RatFunc._coerce(v) for k, v in ent.items()}
+            dens = {v.denominator for v in ent.values()}
+            den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
+            cof = {d: _lcm(den, d)[2] for d in dens}
             cols = {}
             for (i, j), v in ent.items():
-                cols.setdefault(j, {})[i] = (
-                    v.numerator * (den // v.denominator) if rational else v)
+                m, p = cof[v.denominator], v.numerator
+                cols.setdefault(j, {})[i] = p if m == 1 else p * m
             q = self._q = (den, cols)
         return q
 
@@ -154,12 +158,9 @@ class Matrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        (da, ca), (db, cb) = self._form(), other._form()
-        if da == db:
-            return ca == cb
-        # both over the least common denominator
-        g = gcd(da, db)
-        return _times(ca, db // g) == _times(cb, da // g)
+        (da, ca), (db, cb) = _lift(self._form(), other._form())
+        _, ma, mb = _lcm(da, db)  # both over the least common denominator
+        return _times(ca, ma) == _times(cb, mb)
 
     def __neg__(self):
         return self.scale(-1)
@@ -175,15 +176,18 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix sum")
         return Matrix._from_form(self.rows, self.cols,
-                                 _sum(self._form(), other._form(), sign))
+                                 _sum(*_lift(self._form(), other._form()),
+                                      sign))
 
     def scale(self, c):
         if not c:
             return Matrix.zero(self.rows, self.cols)
-        den, cols = self._form()
-        if type(c) in _RATIONAL:
-            den, c = den * c.denominator, c.numerator
-        return Matrix._from_form(self.rows, self.cols, (den, _times(cols, c)))
+        q = self._form()
+        if type(q[0]) is not int or type(c) not in _RATIONAL:
+            c = RatFunc._coerce(c)
+            q = _lift(q, (c.den, {}))[0]  # over Q(r, s), as c is
+        return Matrix._from_form(self.rows, self.cols, (
+            q[0] * c.denominator, _times(q[1], c.numerator)))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -191,7 +195,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         return Matrix._from_form(self.rows, other.cols,
-                                 _product(self._form(), other._form()))
+                                 _product(*_lift(self._form(), other._form())))
 
     def kron(self, other):
         rb, cb = other.rows, other.cols
@@ -210,6 +214,8 @@ class Matrix:
     def apply(self, vec):
         """Matrix times column vector (dict index -> scalar)."""
         den, cols = self._form()
+        if type(den) is not int:  # Fraction * BiPoly is undefined
+            vec = {j: RatFunc._coerce(x) for j, x in vec.items()}
         acc = {}
         for j, x in vec.items():
             col = cols.get(j)
@@ -232,10 +238,39 @@ class Matrix:
 
 
 def _over(col, den):
-    """The nonzero values v / den of a column, in the field of v; an int
-    over den reads as a normalized Fraction."""
-    return {i: Fraction(v, den) if type(v) is int
+    """The nonzero values v / den of a column as normalized Fractions over
+    an int den, or canonical RatFuncs over a BiPoly den (a field value v,
+    from apply, is divided)."""
+    make = Fraction if type(den) is int else RatFunc
+    return {i: make(v, den) if type(v) in (int, BiPoly)
             else v if den == 1 else v / den for i, v in col.items() if v}
+
+
+def _lcm(da, db):
+    """(l, l / da, l / db) for the lcm l of two positive ints or two monic
+    BiPolys; l is monic too, and a cofactor 1 is the int 1."""
+    if da == db:
+        return da, 1, 1
+    if type(da) is int:
+        q = Fraction(db, da)  # (l / da) / (l / db) in lowest terms
+        return da * q.numerator, q.numerator, q.denominator
+    g = _b_gcd(da.terms, db.terms)
+    lc = g[_leading(g)]
+    g = {m: _div(c, lc) for m, c in g.items()}
+    ma, mb = (1 if q == _ONE_TERMS else BiPoly._raw(q)
+              for q in (_b_divexact(db.terms, g), _b_divexact(da.terms, g)))
+    return (da if ma == 1 else da * ma), ma, mb
+
+
+def _lift(*qs):
+    """The column forms qs, those over Q as constant polynomials if one
+    is over Q(r, s)."""
+    if all(type(q[0]) is int for q in qs):
+        return qs
+    c = BiPoly.const
+    return [(c(den), {j: {i: c(v) for i, v in col.items()}
+                      for j, col in cols.items()})
+            if type(den) is int else (den, cols) for den, cols in qs]
 
 
 def _times(cols, m):
@@ -270,24 +305,27 @@ def _product(qa, qb):
 def _sum(qa, qb, sign):
     """Column form of A + sign B over the least common denominator."""
     (da, ca), (db, cb) = qa, qb
-    g = gcd(da, db)
-    ma, mb = db // g, sign * (da // g)
+    den, ma, mb = _lcm(da, db)
+    mb = mb if sign > 0 else -mb
     out = _times(ca, ma)
-    for j, col in _times(cb, mb).items():
-        acc = out.get(j)
-        if acc is None:
-            out[j] = col
-            continue
-        acc = dict(acc)
-        for i, v in col.items():
-            acc[i] = acc.get(i, 0) + v
+    for j, col in cb.items():
+        acc = dict(out.get(j, {}))
+        if mb == 1:
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + v
+        elif mb == -1:
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) - v
+        else:
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + mb * v
         if not all(acc.values()):
             acc = {i: v for i, v in acc.items() if v}
         if acc:
             out[j] = acc
         else:
-            del out[j]
-    return da * ma, out
+            out.pop(j, None)
+    return den, out
 
 
 def _axpy(dst, c, src):
@@ -336,6 +374,7 @@ class _Echelon:
         if p is None:
             return None
         c = vec[p]
+        c = Fraction(c) if type(c) is int else c  # int / int is a float
         self.rows[p] = {t: v / c for t, v in vec.items()}
         if hist is not None:
             self.hist[p] = {t: v / c for t, v in hist.items()}

@@ -352,6 +352,10 @@ class BiPoly:
                 out.pop(m, None)
         return BiPoly._raw(out)
 
+    def __radd__(self, other):
+        # 0 + p starts every sparse sum
+        return self + BiPoly.const(other) if other else self
+
     def __sub__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -361,6 +365,9 @@ class BiPoly:
             else:
                 out.pop(m, None)
         return BiPoly._raw(out)
+
+    def __rsub__(self, other):
+        return BiPoly.const(other) - self if other else -self
 
     def __mul__(self, other):
         out = {}
@@ -469,6 +476,9 @@ class RatFunc:
     @classmethod
     def const(cls, c):
         return cls._canonical(BiPoly.const(c), BiPoly.one())
+
+    numerator = property(lambda self: self.num)  # as for a Fraction
+    denominator = property(lambda self: self.den)
 
     @staticmethod
     def _coerce(x):

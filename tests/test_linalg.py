@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from rsqg import (Matrix, RatFunc, Representation, SampledField,
+from rsqg import (BiPoly, Matrix, RatFunc, Representation, SampledField,
                   SingularInput, Subspace, SymbolicField, build_r,
                   check_defining_relations, check_module_morphism, invert,
                   kernel_image_rank, tensor_index, tensor_power_rep,
@@ -202,6 +202,15 @@ def test_subspace_contains():
     assert all(t.contains_vector(v) for v in s.basis)
 
 
+def test_subspace_of_int_vectors_is_exact():
+    sp = Subspace.from_vectors(3, [{1: 2, 2: 3}])
+    assert sp.basis == [{1: Fraction(2, 3), 2: 1}]
+    assert all(type(v) is Fraction for v in sp.basis[0].values())
+    assert sp.contains_vector({1: 4, 2: 6}) and sp.contains_vector({})
+    assert not sp.contains_vector({1: 1, 2: 1})
+    assert not sp.contains_vector({3: 1})
+
+
 def test_kernel_image_rank_random():
     for _ in range(20):
         m = random_sparse(rng, 5, 6)
@@ -370,8 +379,11 @@ def test_equal_matrices_with_different_denominators_compare_equal():
 def test_integer_form_is_skipped_for_rational_functions():
     sym = SymbolicField()
     m = Matrix(2, 2, {(1, 1): sym.r, (2, 1): sym.one})
-    # Q(r, s) entries stand as themselves over den = 1
-    assert m._form() == (1, {1: {1: sym.r, 2: sym.one}})
+    # over Q(r, s) the values are polynomials over the lcm of the entry
+    # denominators: r and s^-1 are r*s and 1 over s
+    inv = Matrix(2, 2, {(1, 1): sym.r, (2, 1): sym.s**-1})
+    assert inv._form() == (BiPoly.term(0, 1),
+                           {1: {1: BiPoly.term(1, 1), 2: BiPoly.one()}})
     half = Matrix(2, 2, {(1, 2): Fraction(1, 2)})
     # a Fraction matrix mixed with Q(r, s) entries
     prod = m * half
@@ -379,6 +391,127 @@ def test_integer_form_is_skipped_for_rational_functions():
                             (2, 2): sym.from_fraction(Fraction(1, 2))}
     assert m.scale(sym.s) == Matrix(2, 2, {(1, 1): sym.r * sym.s,
                                            (2, 1): sym.s})
+
+
+# Matrices over Q(r, s) (polynomial columns over one polynomial
+# denominator) against dicts of RatFunc entries.
+
+sym = SymbolicField()
+
+
+def _symbolic_entries(rng, rows, cols, fill=0.6):
+    """Entries p / d with small numerators p and the denominators 1, r - s,
+    r s + 2 and s^2, so that one matrix mixes several of them."""
+    r, s, one = sym.r, sym.s, sym.one
+    nums = (one, -r, s * 2, r + s, r * s - 3, r * Fraction(1, 2) - 1)
+    dens = (one, r - s, r * s + 2, s * s)
+    return {(i, j): rng.choice(nums) / rng.choice(dens)
+            for i in range(1, rows + 1) for j in range(1, cols + 1)
+            if rng.random() < fill}
+
+
+def _nonzero(ent):
+    return {k: v for k, v in ent.items() if v}
+
+
+def _rf_mul(a, b):
+    out = {}
+    for (i, k), x in a.items():
+        for (t, j), y in b.items():
+            if t == k:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return _nonzero(out)
+
+
+def _rf_lin(a, c, b):
+    """a + c b entrywise."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + c * v
+    return _nonzero(out)
+
+
+def _rf_col(ent, j):
+    return {i: v for (i, t), v in ent.items() if t == j}
+
+
+def _rf_apply(ent, vec):
+    out = {}
+    for (i, j), v in ent.items():
+        if j in vec:
+            out[i] = out.get(i, 0) + v * vec[j]
+    return _nonzero(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symbolic_arithmetic_against_entrywise_oracle(seed):
+    rng = random.Random(seed)
+    r, s, one = sym.r, sym.s, sym.one
+    ea, eb, ec = (_symbolic_entries(rng, 3, 3) for _ in range(3))
+    a, b, c = (Matrix(3, 3, e) for e in (ea, eb, ec))
+    x, q = (r - 1) / (r * s + 2), Fraction(-3, 2)
+    cases = [
+        (a * b, _rf_mul(ea, eb)),
+        (a + c, _rf_lin(ea, 1, ec)),
+        (a - c, _rf_lin(ea, -1, ec)),
+        (a - a, {}),
+        (-a, _rf_lin({}, -1, ea)),
+        (a.scale(x), _rf_lin({}, x, ea)),
+        (a.scale(q), _rf_lin({}, q, ea)),
+        ((a + c) * b - c * b, _rf_mul(ea, eb)),
+    ]
+    vecs = ({1: s**-2, 3: r + one}, {1: Fraction(2, 5), 2: -3})
+    for mat, ref in cases:
+        assert mat.entries == ref
+        plain = Matrix(3, 3, ref)
+        assert mat == plain and plain == mat
+        assert mat.is_zero() == (not ref)
+        for j in range(1, 4):
+            assert mat.col(j) == _rf_col(ref, j)
+        for vec in vecs:
+            assert mat.apply(vec) == _rf_apply(ref, vec)
+        # equality sees a single changed entry
+        key = next(iter(ref), (1, 1))
+        changed = dict(ref)
+        changed[key] = changed.get(key, 0) + one / (r - s)
+        assert mat != Matrix(3, 3, changed)
+    # the same matrix reached through three different denominators
+    d1 = a.scale(one / (r - s)).scale(r - s)
+    d2 = (a.scale(s**-2) + a.scale(x)).scale(one / (s**-2 + x))
+    assert len({str(m._form()[0]) for m in (a, d1, d2)}) == 3
+    for m in (a, d1, d2):
+        for other in (a, d1, d2, Matrix(3, 3, ea)):
+            assert m == other
+        assert (m - a).is_zero() and m.entries == ea
+    changed = dict(ea)
+    key = next(iter(ea))
+    changed[key] = changed[key] + s
+    assert d1 != Matrix(3, 3, changed) and d2 != Matrix(3, 3, changed)
+
+
+def test_symbolic_checks_reduce_no_fraction_in_products_and_sums(monkeypatch):
+    """Over Q(r, s) the products and sums of a check multiply and add
+    polynomials: RatFunc.__init__ (a gcd reduction) never runs under
+    rsqg.linalg's _product or _sum."""
+    rep = tensor_power_rep(3, 3, sym)
+    original = RatFunc.__init__
+    calls = []
+
+    def guard(self, *args):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if (frame.f_globals.get("__name__") == "rsqg.linalg"
+                    and frame.f_code.co_name in ("_product", "_sum")):
+                raise AssertionError(
+                    f"RatFunc reduced in linalg.{frame.f_code.co_name}")
+            frame = frame.f_back
+        calls.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", guard)
+    assert check_defining_relations(rep).ok
+    # the guard was live: the check reduces its own scalars, 1 / (r - s)
+    assert calls
 
 
 def _fraction_arithmetic_in_linalg_raises(monkeypatch):
@@ -498,3 +631,67 @@ def test_corrupted_generator_fails_the_same_rows_at_a_non_integral_pair():
                     assert row[side] == {str(i): str(v)
                                          for i, v in sorted(w[side].items())}
     assert {c.name for c in got[0].failures()} >= {"R4", "R6:a"}
+
+
+def _symbolic_e1_rows(rep):
+    """(name, indices) -> (lhs, rhs) as dicts of RatFunc entries, for every
+    check row of a rank-3 V^{x 2} whose identity involves e1, recomputed
+    entrywise from the generators' entries."""
+    r, s, one = sym.r, sym.s, sym.one
+    g = {name: rep.gens[name].entries for name in rep.gens}
+
+    def side(*terms):
+        # sum of c * (product of the named generators) over (c, names)
+        out = {}
+        for c, *names in terms:
+            word = g[names[0]]
+            for name in names[1:]:
+                word = _rf_mul(word, g[name])
+            out = _rf_lin(out, c, word)
+        return out
+
+    rows = {}
+    for i, (we, wpe) in ((1, (r / s, s / r)), (2, (1 / r, 1 / s))):
+        rows[("R2:we", (i, 1))] = (side((one, f"w{i}", "e1")),
+                                   side((we, "e1", f"w{i}")))
+        rows[("R3:wpe", (i, 1))] = (side((one, f"wp{i}", "e1")),
+                                    side((wpe, "e1", f"wp{i}")))
+    for j in (1, 2):
+        lhs = side((one, "e1", f"f{j}"), (-one, f"f{j}", "e1"))
+        coef = one / (r - s)
+        rows[("R4", (1, j))] = lhs, (side((coef, "w1"), (-coef, "wp1"))
+                                     if j == 1 else {})
+    rows[("R6:a", (1,))] = side((one, "e1", "e1", "e2"),
+                                (-(r + s), "e1", "e2", "e1"),
+                                (r * s, "e2", "e1", "e1")), {}
+    rows[("R6:b", (1,))] = side((one, "e1", "e2", "e2"),
+                                (-(r + s), "e2", "e1", "e2"),
+                                (r * s, "e2", "e2", "e1")), {}
+    return rows
+
+
+def test_corrupted_symbolic_generator_fails_with_the_recomputed_witness():
+    rep = tensor_power_rep(3, 2, sym)
+    r, s = sym.r, sym.s
+    ent = dict(rep.e(1).entries)
+    # v1 x v1 -> v1 x v1 has the wrong weight for e1
+    ent[(1, 1)] = ent.get((1, 1), 0) + sym.one / (r - s)
+    gens = dict(rep.gens, e1=Matrix(rep.dim, rep.dim, ent))
+    bad = Representation(rep.n, rep.dim, gens, sym, rep.weights)
+    assert check_defining_relations(rep).ok
+    failed = {(c.name, c.indices): c.witness
+              for c in check_defining_relations(bad).failures()}
+    assert {("R2:we", (1, 1)), ("R2:we", (2, 1)),
+            ("R4", (1, 1))} <= set(failed)
+    rows = _symbolic_e1_rows(bad)
+    # only rows whose identity involves e1 fail
+    assert set(failed) <= set(rows)
+    for row, witness in failed.items():
+        lhs, rhs = rows[row]
+        assert lhs != rhs
+        j = next(j for j in range(1, bad.dim + 1)
+                 if _rf_col(lhs, j) != _rf_col(rhs, j))
+        assert witness == {"witness_basis_index": j, "lhs": _rf_col(lhs, j),
+                           "rhs": _rf_col(rhs, j)}
+    # and every row of the recomputation that differs is reported
+    assert {row for row, (x, y) in rows.items() if x != y} == set(failed)
