@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .linalg import Matrix, invert, pair_placements, tensor_index
-from .scalars import RatFunc, SymbolicField, specialize_jimbo
+from .scalars import specialize_jimbo
 from .uqrs import CheckItem, CheckReport, InvalidPower, InvalidRank, _compare
 
 
@@ -239,12 +239,10 @@ def jimbo_compare(rz):
     sum_{i != j} E_ij x E_ji + (1 - q^2)(sum_{i>j} + z sum_{i<j})
     E_ii x E_jj; compared entrywise, with q written as r.  Rows jimbo:A and
     jimbo:B compare the two parts.  A sampled R(z) is a ValueError."""
-    if not all(isinstance(v, RatFunc) for v in rz.A.entries.values()):
+    n, field = rz.n, rz.field
+    if field.mode != "symbolic":
         raise ValueError("jimbo_compare needs R(z) over Q(r, s)")
-    n = rz.n
-    field = SymbolicField()
-    q = field.r
-    one = field.one
+    q, one = field.r, field.one
     diag = one - q * q
     aent, bent = {}, {}
     for i in range(1, n + 1):

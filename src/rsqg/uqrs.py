@@ -119,13 +119,13 @@ def _generator_names(n):
     return [_gen_name(fam, i) for fam in _GEN_FAMILIES for i in range(1, n)]
 
 
-def _parse_gen(name):
-    """Split a generator key into (family, index, inverted)."""
+def _parse_gen(name, n):
+    """Split a generator key of rank n into (family, index, inverted)."""
+    if name not in _generator_names(n):
+        raise ValueError(f"unknown generator {name!r}")
     inv = name.endswith("_inv")
     base = name[:-4] if inv else name
     fam = "wp" if base.startswith("wp") else base[:1]
-    if fam not in ("e", "f", "w", "wp"):
-        raise ValueError(f"unknown generator {name!r}")
     return fam, int(base[len(fam):]), inv
 
 
@@ -241,7 +241,7 @@ def _tensor_generator(field, n, k, name):
     # term (pos, t, c) of column col replaces factor pos of the col-th
     # tuple by v_t, which moves the index by (t - tup[pos]) times the
     # place value n^(k-1-pos) of that factor
-    fam, i, inv = _parse_gen(name)
+    fam, i, inv = _parse_gen(name, n)
     strides = [n ** (k - 1 - pos) for pos in range(k)]
     ent = {}
     for col, tup in enumerate(product(range(1, n + 1), repeat=k), 1):
@@ -294,7 +294,9 @@ def _action_terms(field, fam, i, inv, tup):
 def tensor_action(field, n, name, tup):
     """Action of a generator on one monomial v_{t1} x ... x v_{tk}, as a
     dict tuple -> coefficient (the closed form of _action_terms)."""
-    fam, i, inv = _parse_gen(name)
+    fam, i, inv = _parse_gen(name, n)
+    if any(t < 1 or t > n for t in tup):
+        raise ValueError("tuple entries must lie in 1..n")
     out = {}
     for pos, t, c in _action_terms(field, fam, i, inv, tup):
         out[tup if pos is None else tup[:pos] + (t,) + tup[pos + 1:]] = c
@@ -470,6 +472,9 @@ def hopf_antipode_check(rep):
 
     With S(e_i) = -w_i^{-1} e_i, S(f_i) = -f_i w_i'^{-1}, S(w_i) = w_i^{-1},
     S(w_i') = w_i'^{-1} and eps(e_i) = eps(f_i) = 0, eps(w_i) = eps(w_i') = 1.
+    The e and f rows cannot fail on their own, so this repeats R1:
+    antipode:e is -(w^{-1} e) + w^{-1} e, zero for any matrices, and
+    antipode:f is f - f (w'^{-1} w'), which reduces to w'^{-1} w' = I.
     """
     fld = rep.field
     ident = Matrix.identity(rep.dim, fld.one)

@@ -9,14 +9,16 @@ adjacent pair of factors, each written once at its larger ambient index.
 
 Every relation vector has one or two nonzero coordinates, so the relation
 span is a gain graph on the n^k tensor indices (Zaslavsky, "Biased graphs
-I", 1989), and one union-find pass over the relations builds the quotient
-without elimination.  The coset representatives are the smallest indices
-of the live components, which are exactly the strictly increasing index
-tuples, so the quotient basis is the familiar v_{i1} ^ ... ^ v_{ik} with
-i1 < ... < ik and dimension C(n, k).  The gain from a tuple to its
-representative is its straightening coefficient; it is a field value, so
-a special sampled point cannot change a verdict unseen.  The checks
-take what they certify: an R(z), or a QuotientModule with its n, k, field.
+I", 1989).  The relations arrive in increasing order of their larger
+index, so one forward pass over them links each index straight under its
+root and builds the quotient without elimination.  The coset
+representatives are the smallest indices of the live components, which
+are exactly the strictly increasing index tuples, so the quotient basis
+is the familiar v_{i1} ^ ... ^ v_{ik} with i1 < ... < ik and dimension
+C(n, k).  The gain from a tuple to its representative is its
+straightening coefficient; it is a field value, so a special sampled
+point cannot change a verdict unseen.  The checks take what they
+certify: an R(z), or a QuotientModule with its n, k, field.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
 
 
 class WellDefinednessFailure(AssertionError):
-    """The relation subspace is not preserved by a generator action."""
+    """The relation subspace is not preserved by a generator action, or
+    its relations break the order the one-pass quotient relies on."""
 
 
 _SQUARES = {"sym2": lambda field: (field.s, True),
@@ -113,64 +116,57 @@ def wedge_dimension(n, k, field):
 
 
 def _wedge_quotient(n, k, field):
-    """Quotient data and wedge labels of V^{x k}, in one gain-graph pass.
+    """Quotient data and wedge labels of V^{x k}, in one forward pass.
 
-    Union-find over the tensor indices: parent[t] and gain[t] record
-    x_t = gain[t] x_parent[t] modulo the relations, and every live root is
-    the smallest index of its component.  A one-entry relation kills its
-    component; a two-entry relation links two live roots under the smaller
-    one, or closes a cycle, which kills its component unless its gain is 1.
-    The live roots are the coset representatives, and column t of the
-    projection is gain[t] at the row of t's root.
+    x_t = gain[t] x_root[t] modulo the relations, and every live root is
+    the smallest index of its component.  The relations arrive by larger
+    index b, so nothing lies under b yet and every smaller index points
+    straight at its root: b's first two-entry relation links b under the
+    root of its other end, a later one closes a cycle, which kills the
+    root unless its gain is 1, and a one-entry relation kills b's root.
+    The live roots are the coset representatives; column t of the
+    projection is gain[t] at the row of root[t].  A relation out of this
+    order, or one joining two roots, is a WellDefinednessFailure.
     """
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 0:
         raise InvalidPower("tensor power k must be nonnegative")
     size = n**k
-    parent = list(range(size + 1))
+    root = list(range(size + 1))
     gain = [field.one] * (size + 1)
     dead = bytearray(size + 1)
-
-    def find(t):
-        # path compression; afterwards gain[t] is relative to the root
-        path = []
-        while parent[t] != t:
-            path.append(t)
-            t = parent[t]
-        for u in reversed(path[:-1]):
-            gain[u] *= gain[parent[u]]
-            parent[u] = t
-        return t
-
+    last = 0
     for vec in _insertion_vectors(n, k, field):
         if len(vec) == 1:
-            (a,) = vec
-            dead[find(a)] = 1
-            continue
-        (a, ca), (b, cb) = vec.items()
-        ra, rb = find(a), find(b)
-        if dead[ra] or dead[rb]:
-            # touching a dead component kills the other one too; gains
-            # inside dead components are never read, so no link is needed
-            dead[ra] = dead[rb] = 1
-            continue
-        # ca x_a + cb x_b = 0 becomes ca x_ra + cb x_rb = 0
-        ca *= gain[a]
-        cb *= gain[b]
-        if ra == rb:
-            # a cycle: x_r = (-ca / cb) x_r, and a gain other than 1 kills
-            if ca + cb:
-                dead[ra] = 1
-        elif ra < rb:
-            parent[rb], gain[rb] = ra, -ca / cb
+            (b,) = vec
         else:
-            parent[ra], gain[ra] = rb, -cb / ca
+            (a, ca), (b, cb) = vec.items()
+            if a > b:
+                a, ca, b, cb = b, cb, a, ca
+        if b < last:
+            raise WellDefinednessFailure(
+                f"relation at index {b} follows one at index {last}")
+        last, r = b, root[b]
+        if len(vec) == 1:
+            dead[r] = 1
+        elif r == b:
+            # b's first link; gains inside dead components are never read
+            r = root[b] = root[a]
+            dead[r] |= dead[b]
+            if not dead[r]:
+                gain[b] = -(ca * gain[a]) / cb
+        elif r != root[a]:
+            raise WellDefinednessFailure(
+                f"relation at index {b} joins the roots {r} and {root[a]}")
+        elif not dead[r] and ca * gain[a] + cb * gain[b]:
+            # a cycle: x_r = (-ca gain[a] / cb gain[b]) x_r
+            dead[r] = 1
     reps = tuple(t for t in range(1, size + 1)
-                 if parent[t] == t and not dead[t])
+                 if root[t] == t and not dead[t])
     pos = {t: i for i, t in enumerate(reps, 1)}
-    ent = {(pos[root], t): gain[t] for t in range(1, size + 1)
-           if (root := find(t)) in pos}
+    ent = {(pos[r], t): gain[t] for t in range(1, size + 1)
+           if (r := root[t]) in pos}
     qd = QuotientData(reps, Matrix(len(reps), size, ent, _clean=True))
     return qd, [tensor_tuple(t, n, k) for t in reps]
 

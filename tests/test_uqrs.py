@@ -150,6 +150,17 @@ def test_tensor_power_columns_are_tensor_action():
         tensor_action(sym, 3, "x1", (1, 2))
 
 
+def test_tensor_action_rejects_what_rank_n_lacks():
+    # e5 and v4 do not exist at rank 3; neither is an empty image
+    for name in ("e5", "wp3_inv", "f0"):
+        with pytest.raises(ValueError, match=f"unknown generator '{name}'"):
+            tensor_action(smp, 3, name, (1, 2))
+    for tup in ((1, 4), (0, 2)):
+        with pytest.raises(ValueError, match="tuple entries must lie in 1..n"):
+            tensor_action(smp, 3, "e1", tup)
+    assert tensor_action(smp, 3, "e2", (1, 3)) == {(1, 2): smp.one}
+
+
 def test_tensor_power_generators_are_built_on_first_use(monkeypatch):
     real = uqrs_mod._action_terms
     seen = set()

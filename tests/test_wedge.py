@@ -152,24 +152,34 @@ def test_insertion_vectors_are_the_position_major_set(field, square, c,
         assert larger == sorted(larger), (n, k)
 
 
-def test_gain_graph_pass_ignores_relation_order(monkeypatch):
-    # the quotient is unique once the representatives are fixed, so any
-    # order of the relations must give the same projection; shuffling
-    # also links live components to dead ones in every possible order
-    rng = random.Random(5)
+def test_gain_graph_pass_needs_relations_in_index_order(monkeypatch):
+    # the one forward pass links each index once, under the root of a
+    # smaller one, so it checks the order it relies on: a shuffled stream,
+    # or an in-order stream with one extra relation joining two live
+    # roots, raises and names the larger index of the offending relation
     real = wedge_mod._insertion_vectors
+
+    def quotient(n, k, vecs):
+        with monkeypatch.context() as m:
+            m.setattr(wedge_mod, "_insertion_vectors",
+                      lambda n, k, field: iter(vecs))
+            return wedge_mod._wedge_quotient(n, k, smp)[0]
+
     for n, k in ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3)):
-        want, _ = wedge_mod._wedge_quotient(n, k, smp)
-        vecs = list(real(n, k, smp))
-        for _ in range(3):
-            rng.shuffle(vecs)
-            with monkeypatch.context() as m:
-                m.setattr(wedge_mod, "_insertion_vectors",
-                          lambda n, k, field: iter(vecs))
-                got, _ = wedge_mod._wedge_quotient(n, k, smp)
-            assert got.rep_indices == want.rep_indices, (n, k)
-            assert got.projection == want.projection, (n, k)
-        assert len(want.rep_indices) == n**k - dense_rank(vecs, n**k)
+        qd, _ = wedge_mod._wedge_quotient(n, k, smp)
+        rank = dense_rank(list(real(n, k, smp)), n**k)
+        assert len(qd.rep_indices) == n**k - rank, (n, k)
+    vecs = list(real(3, 3, smp))
+    random.Random(5).shuffle(vecs)
+    with pytest.raises(WellDefinednessFailure, match="relation at index"):
+        quotient(3, 3, vecs)
+    b = tensor_index((3, 2), 3)
+    vecs = list(real(3, 2, smp))
+    at = max(i for i, vec in enumerate(vecs) if max(vec) == b) + 1
+    vecs.insert(at, {tensor_index((1, 2), 3): smp.one, b: smp.one})
+    with pytest.raises(WellDefinednessFailure,
+                       match=f"relation at index {b} joins"):
+        quotient(3, 2, vecs)
 
 
 @pytest.mark.parametrize("field", [SampledField(2, 3), SampledField(4, 2),
