@@ -6,17 +6,25 @@ pivots: the pivot of a row is its largest-index nonzero entry, and the
 reduced form is the unique reduced echelon basis for that convention, so
 equal subspaces have equal bases.
 
-All elimination runs through one kernel, _Echelon: subspace spans and
-membership, kernel/image/rank and the inverse.  Quotients need none:
-QuotientData only holds coset representatives and a projection, which
-rsqg.wedge builds directly from its gain graph.
-
 Matrix arithmetic runs on one column form over every field: columns
 {j: {i: v}} over the lcm den of the entry denominators, with int values
 over a positive int den over Q (the sampled field) and BiPoly values
 over a monic BiPoly den over Q(r, s).  So the checks multiply and add
 integers or polynomials and reduce no fraction per entry; the entries of
 a result turn into Fractions or RatFuncs only when read.
+
+All elimination runs through one kernel, _Echelon: subspace spans and
+membership, kernel/image/rank and the inverse.  It is fraction-free
+Gauss-Jordan elimination (Bareiss) on those numerator values: its rows
+stay fully reduced and share one pivot value D, the determinant of the
+pivot minor, and its only divisions, by D, are exact.  kernel_image_rank,
+invert and Subspace.from_vectors first split their columns or vectors
+into the connected components of the graph that joins two sharing an
+index, and give each component its own echelon and its own D.  No
+Fraction or RatFunc is formed while eliminating: each entry of a result
+is read out once, as a numerator over D.  Quotients need no elimination:
+QuotientData only holds coset representatives and a projection, which
+rsqg.wedge builds directly from its gain graph.
 """
 
 from __future__ import annotations
@@ -134,17 +142,7 @@ class Matrix:
         """(den, {j: {i: v}}) with entry (i, j) = v / den."""
         q = self._q
         if q is None:
-            ent = self._entries
-            if not all(type(v) in _RATIONAL for v in ent.values()):
-                ent = {k: RatFunc._coerce(v) for k, v in ent.items()}
-            dens = {v.denominator for v in ent.values()}
-            den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
-            cof = {d: _lcm(den, d)[2] for d in dens}
-            cols = {}
-            for (i, j), v in ent.items():
-                m, p = cof[v.denominator], v.numerator
-                cols.setdefault(j, {})[i] = p if m == 1 else p * m
-            q = self._q = (den, cols)
+            q = self._q = _column_form(self._entries)
         return q
 
     def get(self, i, j):
@@ -235,6 +233,23 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _column_form(ent):
+    """(den, {j: {i: v}}) for a dict (i, j) -> nonzero scalar: den the
+    lcm of the entry denominators, an int over Q and a monic BiPoly over
+    Q(r, s) (when some entry is not an int or a Fraction), and each v the
+    entry times den, an int or a BiPoly numerator."""
+    if not all(type(v) in _RATIONAL for v in ent.values()):
+        ent = {k: RatFunc._coerce(v) for k, v in ent.items()}
+    dens = {v.denominator for v in ent.values()}
+    den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
+    cof = {d: _lcm(den, d)[2] for d in dens}
+    cols = {}
+    for (i, j), v in ent.items():
+        m, p = cof[v.denominator], v.numerator
+        cols.setdefault(j, {})[i] = p if m == 1 else p * m
+    return den, cols
 
 
 def _over(col, den):
@@ -328,72 +343,158 @@ def _sum(qa, qb, sign):
     return den, out
 
 
-def _axpy(dst, c, src):
-    # dst -= c * src, in place
-    for t, v in src.items():
-        cur = dst.get(t)
-        nv = -(c * v) if cur is None else cur - c * v
-        if nv:
-            dst[t] = nv
-        elif cur is not None:
-            del dst[t]
+def _exact_division(d):
+    """x -> x / d for the numerators x that d divides: // over the ints,
+    _b_divexact over Q(r, s)."""
+    if type(d) is int:
+        return lambda x: x // d
+    dt = d.terms
+    return lambda x: BiPoly._raw(_b_divexact(x.terms, dt))
+
+
+def _read_out(den, field=None):
+    """(v, d) -> the scalar v / d: a Fraction over an int den (a RatFunc
+    constant if field is symbolic), a RatFunc over a BiPoly den."""
+    if type(den) is not int:
+        return RatFunc
+    if field is None or type(field.one) is Fraction:
+        return Fraction
+    return lambda v, d: field.from_fraction(Fraction(v, d))
 
 
 class _Echelon:
-    """Incremental echelon form with trailing pivots (pivot = max index).
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) with trailing pivots (pivot = max index).
 
-    With history=True every pivot row also carries a history row: the
-    combination of the histories handed to insert that the pivot row
-    equals.  Reduction and back_reduce update histories alongside rows.
+    Values are numerators: ints, or BiPolys over Q(r, s).  Every row is
+    fully reduced and carries the same pivot value den, the determinant
+    of the pivot minor (1 while there is no row), so row p over den is
+    the reduced echelon basis vector with pivot p.  A vector reduces as
+    den v - sum_p v[p] row_p, which divides nothing.  A new pivot q of
+    value c turns every row into (c row_p - row_p[q] v) / den, a division
+    that is exact by Sylvester's identity, and c becomes den.  With
+    history=True every row also carries its history, the combination of
+    the histories handed to add that it equals, reduced and updated the
+    same way.  Nothing is divided into a Fraction or RatFunc here: a
+    caller reads a value once, over den.
     """
 
-    __slots__ = ("rows", "hist")
+    __slots__ = ("rows", "hist", "den")
 
-    def __init__(self, rows=None, history=False):
+    def __init__(self, rows=None, den=1, history=False):
         self.rows = {} if rows is None else rows
+        self.den = den
         self.hist = {} if history else None
 
     def reduce(self, vec, hist=None):
-        """Forward-reduce vec (and hist alongside it) in place; return the
-        pivot of vec, or None if it reduced to zero (dependent)."""
-        while vec:
-            p = max(vec)
-            row = self.rows.get(p)
-            if row is None:
-                return p
-            if hist is not None:
-                _axpy(hist, vec[p], self.hist[p])
-            _axpy(vec, vec[p], row)
-        return None
-
-    def insert(self, vec, hist=None):
-        """Insert a copy of vec; return the new pivot, or None if dependent
-        (hist is reduced in place: then it is a vanishing combination)."""
-        vec = dict(vec)
-        p = self.reduce(vec, hist)
-        if p is None:
-            return None
-        c = vec[p]
-        c = Fraction(c) if type(c) is int else c  # int / int is a float
-        self.rows[p] = {t: v / c for t, v in vec.items()}
+        """(den vec - sum_p vec[p] row_p, the same of hist): vec reduced
+        against every row, zero exactly when vec is dependent (then hist
+        is a vanishing combination); vec itself while there is no row."""
+        rows = self.rows
+        if not rows:
+            return vec, hist
+        d = self.den
+        hits = [(vec[p], p) for p in vec if p in rows]
+        out = _combine(d, vec, [(c, rows[p]) for c, p in hits])
         if hist is not None:
-            self.hist[p] = {t: v / c for t, v in hist.items()}
-        return p
+            hist = _combine(d, hist, [(c, self.hist[p]) for c, p in hits])
+        return out, hist
 
-    def back_reduce(self):
-        # rows with pivot p only carry entries below p, so processing pivots
-        # in increasing order fully reduces in one pass
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            hits = [q for q in row if q != p and q in self.rows]
-            for q in hits:
-                if self.hist is not None:
-                    _axpy(self.hist[p], row[q], self.hist[q])
-                _axpy(row, row[q], self.rows[q])
+    def add(self, vec, hist=None):
+        """Make vec, reduced and nonzero, the row of its pivot; return the
+        pivot."""
+        q = max(vec)
+        c = vec[q]
+        div = _exact_division(self.den)
+        for p, row in self.rows.items():
+            bq = row.get(q)
+            self.rows[p] = _combine(c, row, [(bq, vec)] if bq else (), div)
+            if hist is not None:
+                self.hist[p] = _combine(c, self.hist[p],
+                                        [(bq, hist)] if bq else (), div)
+        self.rows[q] = vec
+        if hist is not None:
+            self.hist[q] = hist
+        self.den = c
+        return q
+
+    def insert(self, vec):
+        """Add vec; return its new pivot, or None if it is dependent."""
+        vec, _ = self.reduce(vec)
+        return self.add(vec) if vec else None
+
+    def basis(self, make):
+        """{p: row p over den}, each value read out by make(v, den); the
+        pivots, where v is den, as make(1, 1), which needs no gcd."""
+        if not self.rows:
+            return {}
+        d = self.den
+        one = 1 if type(d) is int else BiPoly.one()
+        unit = make(one, one)
+        return {p: {t: unit if t == p else make(v, d) for t, v in row.items()}
+                for p, row in self.rows.items()}
 
     @property
     def rank(self):
         return len(self.rows)
+
+
+def _combine(c, vec, terms, div=None):
+    """(c vec - sum of a src over the pairs (a, src) of terms) / div."""
+    out = {t: c * v for t, v in vec.items()}
+    for a, src in terms:
+        for t, v in src.items():
+            x = out.get(t)
+            x = -(a * v) if x is None else x - a * v
+            if x:
+                out[t] = x
+            else:
+                del out[t]
+    return out if div is None else {t: div(v) for t, v in out.items()}
+
+
+def _components(vecs):
+    """The keys of vecs, a dict key -> sparse vector, grouped into the
+    connected components of the graph that joins two vectors sharing an
+    index, each group in the order of vecs.  Each component is eliminated
+    on its own, with its own den: one den for a block-diagonal matrix
+    would be the product of every block's determinant."""
+    parent, owner = {}, {}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for k, vec in vecs.items():
+        parent[k] = k
+        for i in vec:
+            o = owner.setdefault(i, k)
+            if o != k:
+                parent[find(k)] = find(o)
+    groups = {}
+    for k in vecs:
+        groups.setdefault(find(k), []).append(k)
+    return list(groups.values())
+
+
+def _span(ambient_dim, vecs, make):
+    """The Subspace spanned by the numerator vectors vecs (a dict), one
+    echelon per component, with values read out by make."""
+    basis = {}
+    for block in _components(vecs):
+        ech = _Echelon()
+        for k in block:
+            ech.insert(vecs[k])
+        basis.update(ech.basis(make))
+    pivots = sorted(basis)
+    return Subspace(ambient_dim, [basis[p] for p in pivots], pivots)
+
+
+def _numerators(vec):
+    """A vector times the lcm of its denominators: ints over Q, BiPolys
+    over Q(r, s)."""
+    return _column_form({(i, 1): v for i, v in vec.items() if v})[1].get(1, {})
 
 
 class Subspace:
@@ -404,31 +505,32 @@ class Subspace:
     bases.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_ech")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis, pivots):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-        self._ech = None
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        ech = _Echelon()
-        for v in vectors:
-            ech.insert(v)
-        ech.back_reduce()
-        pivots = sorted(ech.rows)
-        return cls(ambient_dim, [ech.rows[p] for p in pivots], pivots)
+        den, cols = _column_form({(i, j): v for j, vec in enumerate(vectors)
+                                  for i, v in vec.items() if v})
+        return _span(ambient_dim, cols, _read_out(den))
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains_vector(self, vec):
-        if self._ech is None:
-            self._ech = _Echelon(dict(zip(self.pivots, self.basis)))
-        return self._ech.reduce(dict(vec)) is None
+        # the basis over one den (each row is den at its pivot) and vec
+        # as column 0, so that both have the same numerator type
+        ent = {(i, p): v for p, row in zip(self.pivots, self.basis)
+               for i, v in row.items()}
+        ent.update({(i, 0): v for i, v in vec.items() if v})
+        den, cols = _column_form(ent)
+        vec = cols.pop(0, {})
+        return not _Echelon(cols, den).reduce(vec)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -449,47 +551,68 @@ class Subspace:
         return f"Subspace(dim={self.dim} in {self.ambient_dim})"
 
 
-def _dependent_columns(mat, field, ech):
-    """Insert the columns of mat left to right into ech (which tracks
-    history) and yield the kernel vector each dependent column certifies:
-    its history, the combination of original columns that vanishes."""
-    for j in range(1, mat.cols + 1):
-        h = {j: field.one}
-        if ech.insert(mat.col(j), h) is None:
-            yield h
+def _column_blocks(mat):
+    """Eliminate the numerator columns of mat, left to right within each
+    component: yield per component its echelon, whose histories are over
+    the columns, and {j: h} for the columns j that reduced to zero, each
+    h the combination of numerator columns that vanishes."""
+    den, cols = mat._form()
+    one = 1 if type(den) is int else BiPoly.one()
+    vecs = {j: cols.get(j, {}) for j in range(1, mat.cols + 1)}
+    for block in _components(vecs):
+        ech = _Echelon(history=True)
+        dependent = {}
+        for j in block:
+            vec, h = ech.reduce(vecs[j], {j: one})
+            if vec:
+                ech.add(vec, h)
+            else:
+                dependent[j] = h
+        yield ech, dependent
 
 
 def kernel_image_rank(mat, field):
     """(kernel, image, rank) of a sparse matrix by exact elimination.
 
-    Columns are processed left to right; each column either extends the
-    echelon of the image or certifies a kernel vector through the recorded
-    combination of original columns (deterministic output).
+    Columns are processed left to right within each component; each
+    column either extends the echelon of the image or certifies a kernel
+    vector through the recorded combination of original columns
+    (deterministic output).  The image basis has the type of the entries
+    of mat (Fractions when they are ints or Fractions), the kernel basis
+    that of field.
     """
-    ech = _Echelon(history=True)
-    kernel_vecs = list(_dependent_columns(mat, field, ech))
-    # the image needs no histories; back-reducing them costs an inverse
-    ech.hist = None
-    ech.back_reduce()
-    pivots = sorted(ech.rows)
-    image = Subspace(mat.rows, [ech.rows[p] for p in pivots], pivots)
-    kernel = Subspace.from_vectors(mat.cols, kernel_vecs)
-    return kernel, image, ech.rank
+    image, kernel = {}, {}
+    den = mat._form()[0]
+    make = _read_out(den)
+    for ech, dependent in _column_blocks(mat):
+        image.update(ech.basis(make))
+        kernel.update(dependent)
+    pivots = sorted(image)
+    return (_span(mat.cols, kernel, _read_out(den, field)),
+            Subspace(mat.rows, [image[p] for p in pivots], pivots),
+            len(image))
 
 
 def invert(mat, field):
     """Exact inverse of a square matrix; raises SingularInput.
 
-    After back reduction the echelon rows of an invertible matrix are the
-    unit vectors, so the history of pivot p is column p of the inverse.
+    The echelon rows of an invertible block are its pivot value D times
+    unit vectors.  So with N = den A the numerator columns (den the
+    matrix's denominator), the history of pivot p over D is column p of
+    N^-1, and den times it is column p of A^-1.
     """
     if mat.rows != mat.cols:
         raise SingularInput("only square matrices can be inverted")
-    ech = _Echelon(history=True)
-    for _ in _dependent_columns(mat, field, ech):
-        raise SingularInput("matrix is singular")
-    ech.back_reduce()
-    ent = {(t, p): v for p, h in ech.hist.items() for t, v in h.items()}
+    den = mat._form()[0]
+    make = _read_out(den, field)
+    ent = {}
+    for ech, dependent in _column_blocks(mat):
+        if dependent:
+            raise SingularInput("matrix is singular")
+        d = ech.den
+        for p, h in ech.hist.items():
+            for t, v in h.items():
+                ent[(t, p)] = make(v if den == 1 else den * v, d)
     return Matrix(mat.rows, mat.cols, ent, _clean=True)
 
 

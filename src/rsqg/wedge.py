@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .linalg import (Matrix, QuotientData, Subspace, _Echelon, tensor_index,
-                     kernel_image_rank, tensor_tuple)
+from .linalg import (Matrix, QuotientData, Subspace, _Echelon, _numerators,
+                     kernel_image_rank, tensor_index, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    NonDiagonalAction, Representation, Weight, _compare,
                    _content, _generator_names, _tensor_generator,
@@ -185,8 +185,12 @@ def _induced_generators(field, n, k, qd):
     """The generators on the quotient, each guarded by one identity: with P
     the projection, G the generator on V^{x k} and J the embedding of the
     representatives, G_hat = (P G) J and P G = G_hat P iff G preserves the
-    relations; a failure names the first ambient tuple where it breaks."""
+    relations; a failure names the first ambient tuple where it breaks.
+    With no representative P has no rows, so both sides of the identity
+    are empty and no G is built."""
     proj, reps = qd.projection, qd.rep_indices
+    if not reps:
+        return {name: Matrix.zero(0, 0) for name in _generator_names(n)}
     emb = Matrix(n**k, len(reps),
                  {(t, col): field.one for col, t in enumerate(reps, 1)},
                  _clean=True)
@@ -320,14 +324,14 @@ def verify_fundamental(mod):
                             set(spaces) == expected and mult_one
                             and len(spaces) == want, witness))
     ech = _Echelon()
-    ech.insert(hv)
+    ech.insert(_numerators(hv))
     frontier = [hv]
     while frontier:
         nxt = []
         for v in frontier:
             for i in range(1, n):
                 img = ind.f(i).apply(v)
-                if img and ech.insert(img) is not None:
+                if img and ech.insert(_numerators(img)) is not None:
                     nxt.append(img)
         frontier = nxt
     checks.append(CheckItem("cyclic under the f action", (n, k),

@@ -147,3 +147,34 @@ def corrupt_ambient_generator(monkeypatch, name, src, dst):
         return Matrix(mat.rows, mat.cols, ent)
 
     monkeypatch.setattr(wedge_mod, "_tensor_generator", corrupted)
+
+
+def reference_echelon(vectors):
+    """(pivots, basis) of the canonical basis of the span of sparse vectors
+    over a field, by textbook Gauss-Jordan on field values: the pivot of a
+    vector is its largest index, and each basis vector is monic at its
+    pivot and zero at every other pivot.  A reference for the library's
+    fraction-free kernel, which divides nothing until it reads a value."""
+    def lin(a, c, b):
+        out = dict(a)
+        for t, v in b.items():
+            out[t] = out.get(t, 0) - c * v
+        return {t: v for t, v in out.items() if v}
+
+    rows = {}
+    for vec in vectors:
+        vec = {t: Fraction(v) if isinstance(v, int) else v
+               for t, v in vec.items() if v}
+        for p, row in rows.items():
+            if vec.get(p):
+                vec = lin(vec, vec[p], row)
+        if not vec:
+            continue
+        q = max(vec)
+        new = {t: v / vec[q] for t, v in vec.items()}
+        for p, row in rows.items():
+            if row.get(q):
+                rows[p] = lin(row, row[q], new)
+        rows[q] = new
+    pivots = sorted(rows)
+    return pivots, [rows[p] for p in pivots]

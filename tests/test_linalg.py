@@ -5,14 +5,16 @@ from math import lcm
 
 import pytest
 
+import rsqg.linalg as linalg
 from rsqg import (BiPoly, Matrix, RatFunc, Representation, SampledField,
-                  SingularInput, Subspace, SymbolicField, build_r,
+                  SingularInput, Subspace, SymbolicField, build_r, build_r_z,
                   check_defining_relations, check_module_morphism, invert,
                   kernel_image_rank, tensor_index, tensor_power_rep,
                   tensor_tuple)
 
 from helpers import (dense_mul, dense_rank, from_dense, random_bipoly,
-                     random_ratfunc, random_sparse, to_dense)
+                     random_ratfunc, random_sparse, reference_echelon,
+                     to_dense)
 
 rng = random.Random(9157)
 smp = SampledField(2, 3)
@@ -128,17 +130,33 @@ def _random_symbolic(rng, rows, cols, fill=0.6, entry=random_ratfunc):
 
 
 def test_elimination_of_an_int_matrix_stays_exact():
-    # int entries reach the echelon kernel as Fractions, never as floats
-    kernel, image, rank = kernel_image_rank(
-        Matrix(2, 2, {(1, 1): 2, (1, 2): 4, (2, 1): 1, (2, 2): 2}), smp)
+    # int entries reach the echelon kernel as ints and leave it as
+    # Fractions, never as ints or floats
+    singular = {(1, 1): 2, (1, 2): 4, (2, 1): 1, (2, 2): 2}
+    lower = {(1, 1): 2, (2, 1): 1, (2, 2): 4}
+    kernel, image, rank = kernel_image_rank(Matrix(2, 2, singular), smp)
     assert rank == 1
     assert kernel.basis == [{1: -2, 2: 1}] and image.basis == [{1: 2, 2: 1}]
-    inv = invert(Matrix(2, 2, {(1, 1): 2, (2, 1): 1, (2, 2): 4}), smp)
-    assert inv.entries == {(1, 1): Fraction(1, 2), (2, 1): Fraction(-1, 8),
-                           (2, 2): Fraction(1, 4)}
+    inv = invert(Matrix(2, 2, lower), smp)
+    want = {(1, 1): Fraction(1, 2), (2, 1): Fraction(-1, 8),
+            (2, 2): Fraction(1, 4)}
+    assert inv.entries == want
     for vals in ([v for vec in kernel.basis + image.basis
                   for v in vec.values()], inv.entries.values()):
         assert all(type(v) is Fraction for v in vals)
+    # over Q(r, s) the kernel and the inverse are RatFuncs, of an int
+    # matrix too; the image is read as the entries are
+    for lift in (int, sym.from_fraction):
+        a = Matrix(2, 2, {k: lift(v) for k, v in singular.items()})
+        b = Matrix(2, 2, {k: lift(v) for k, v in lower.items()})
+        kernel, image, rank = kernel_image_rank(a, sym)
+        inv = invert(b, sym)
+        assert rank == 1 and kernel.basis == [{1: -2, 2: 1}]
+        assert image.basis == [{1: 2, 2: 1}] and inv.entries == want
+        vals = [v for vec in kernel.basis for v in vec.values()]
+        assert all(type(v) is RatFunc for v in vals + list(inv.entries.values()))
+        assert all(type(v) is (Fraction if lift is int else RatFunc)
+                   for v in image.basis[0].values())
 
 
 def test_matrix_shape_errors():
@@ -695,3 +713,257 @@ def test_corrupted_symbolic_generator_fails_with_the_recomputed_witness():
                            "rhs": _rf_col(rhs, j)}
     # and every row of the recomputation that differs is reported
     assert {row for row, (x, y) in rows.items() if x != y} == set(failed)
+
+
+# The fraction-free kernel: eliminate-style inputs, a sympy oracle, and the
+# component split.
+
+def _polynomial_matrix(rng, rows, cols, max_deg=2, terms=3):
+    """Dense matrix of random polynomials of degree <= max_deg, as RatFuncs."""
+    return Matrix(rows, cols, {(i, j): RatFunc(random_bipoly(rng, max_deg,
+                                                             terms))
+                               for i in range(1, rows + 1)
+                               for j in range(1, cols + 1)})
+
+
+def _block_diagonal(rng, blocks):
+    """The direct sum of the square matrices blocks, with its rows and its
+    columns shuffled, so that the blocks interleave."""
+    size = sum(b.rows for b in blocks)
+    rows, cols = list(range(1, size + 1)), list(range(1, size + 1))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    ent, off = {}, 0
+    for b in blocks:
+        for (i, j), v in b.entries.items():
+            ent[(rows[off + i - 1], cols[off + j - 1])] = v
+        off += b.rows
+    return Matrix(size, size, ent)
+
+
+def _with_dependent_column(mat, c):
+    """mat with its last column replaced by c times column 1, plus column
+    2 if that is not the last."""
+    ent = {k: v for k, v in mat.entries.items() if k[1] != mat.cols}
+    for i in range(1, mat.rows + 1):
+        v = c * (mat.get(i, 1) or 0)
+        if mat.cols > 2:
+            v = v + (mat.get(i, 2) or 0)
+        if v:
+            ent[(i, mat.cols)] = v
+    return Matrix(mat.rows, mat.cols, ent)
+
+
+def _eliminate_inputs(rng, field):
+    """Square inputs like those of the eliminate benchmark: R(z) at a
+    rational z (over Q(r, s)) or R (sampled), random dense matrices, a
+    singular one and a block-diagonal one."""
+    if field.mode == "symbolic":
+        z = (field.r * 3 - field.s * 2) / (field.r * field.s + 5)
+        dense = [_polynomial_matrix(rng, 2, 2) for _ in range(2)]
+        mats = [build_r_z(2, field).at(z), *dense,
+                _with_dependent_column(_polynomial_matrix(rng, 3, 3, 1), z),
+                _block_diagonal(rng, dense)]
+    else:
+        dense = [random_sparse(rng, n, n, 0.9) + Matrix.identity(n, 5)
+                 for n in (2, 3, 4)]
+        mats = [build_r(3, field), *dense,
+                _with_dependent_column(dense[1], Fraction(-2, 3)),
+                _block_diagonal(rng, dense)]
+    return mats
+
+
+def _division_in_the_kernel_raises(monkeypatch):
+    """RatFunc.__init__ anywhere under an eliminating _Echelon method, and
+    Fraction arithmetic in rsqg.linalg under one, raise.  _Echelon.basis
+    is the read-out, and BiPoly coefficients may still be Fractions: their
+    arithmetic runs in rsqg.scalars."""
+    ech = linalg._Echelon
+    codes = {f.__code__ for f in (ech.reduce, ech.add, ech.insert)}
+
+    def in_echelon(frame):
+        while frame is not None:
+            if frame.f_code in codes:
+                return True
+            frame = frame.f_back
+        return False
+
+    original_init = RatFunc.__init__
+    calls = []
+
+    def ratfunc_guard(self, *args):
+        if in_echelon(sys._getframe(1)):
+            raise AssertionError("RatFunc reduced in the echelon kernel")
+        calls.append(args)
+        original_init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", ratfunc_guard)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        original = getattr(Fraction, name)
+
+        def guard(a, b, _original=original, _name=name):
+            frame = sys._getframe(1)
+            if (frame.f_globals.get("__name__") == "rsqg.linalg"
+                    and in_echelon(frame)):
+                raise AssertionError(f"Fraction.{_name} in the echelon kernel")
+            return _original(a, b)
+
+        monkeypatch.setattr(Fraction, name, guard)
+    return calls
+
+
+@pytest.mark.parametrize("field", [SampledField(3, 2), SymbolicField()],
+                         ids=["sampled", "symbolic"])
+def test_echelon_kernel_divides_nothing(monkeypatch, field):
+    """No Fraction or RatFunc is formed inside the elimination: a value
+    is divided only when invert, kernel_image_rank or from_vectors reads
+    it out, over the echelon's pivot value."""
+    mats = _eliminate_inputs(random.Random(19), field)
+    calls = _division_in_the_kernel_raises(monkeypatch)
+    for mat in mats:
+        kernel, image, rank = kernel_image_rank(mat, field)
+        assert kernel.dim + rank == mat.cols and image.dim == rank
+        assert all(mat.apply(v) == {} for v in kernel.basis)
+        assert Subspace.from_vectors(
+            mat.rows, [mat.col(j) for j in range(1, mat.cols + 1)]) == image
+        if rank < mat.cols:
+            with pytest.raises(SingularInput):
+                invert(mat, field)
+            continue
+        inv = invert(mat, field)
+        assert mat * inv == Matrix.identity(mat.rows, field.one) == inv * mat
+    # the guards were live: over Q(r, s) each value read out is reduced
+    assert calls or field.mode == "sampled"
+
+
+def test_component_split_changes_only_speed(monkeypatch):
+    """Each connected block of columns gets its own echelon; running the
+    whole matrix as one block gives identical values and types."""
+    rng = random.Random(23)
+    inputs = []
+    for field in (SampledField(3, 2), SymbolicField()):
+        mats = _eliminate_inputs(rng, field)
+        # R or R(z), and the direct sum, split into several blocks
+        assert len(_blocks(mats[0])) > 1 and len(_blocks(mats[-1])) > 1
+        inputs += [(field, mat, [mat.col(j) for j in range(1, mat.cols + 1)])
+                   for mat in mats]
+
+    def results():
+        out = []
+        for field, mat, vecs in inputs:
+            kernel, image, rank = kernel_image_rank(mat, field)
+            try:
+                inv = invert(mat, field).entries
+            except SingularInput:
+                inv = None
+            span = Subspace.from_vectors(mat.rows, vecs)
+            out.append(_typed((kernel, image, rank, inv, span)))
+        return out
+
+    split = results()
+    monkeypatch.setattr(linalg, "_components", lambda vecs: [list(vecs)])
+    assert results() == split
+
+
+def _blocks(mat):
+    return linalg._components({j: mat.col(j) for j in range(1, mat.cols + 1)})
+
+
+def _typed(obj):
+    """Plain data of an elimination result, with the type of every value."""
+    if isinstance(obj, Subspace):
+        return (obj.ambient_dim, obj.pivots, _typed(obj.basis))
+    if isinstance(obj, dict):
+        return sorted((k, _typed(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return [_typed(x) for x in obj]
+    return (type(obj).__name__, str(obj))
+
+
+def _sympy_oracle(sympy, field):
+    """Converters between rsqg scalars and sympy DomainMatrices over QQ
+    (sampled) or ZZ(r, s) (symbolic)."""
+    from sympy.polys.matrices import DomainMatrix
+
+    r, s = sympy.symbols("r s")
+    symbolic = field.mode == "symbolic"
+    domain = sympy.ZZ.frac_field(r, s) if symbolic else sympy.QQ
+
+    def rational(c):
+        c = Fraction(c)
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def poly(p):
+        return sum((rational(c) * r**a * s**b
+                    for (a, b), c in p.terms.items()), sympy.Integer(0))
+
+    def to_sympy(v):
+        if isinstance(v, RatFunc):
+            return poly(v.num) / poly(v.den)
+        return rational(v)
+
+    def scalar(e):
+        """An element of the domain as a Fraction or a RatFunc."""
+        if not symbolic:
+            return Fraction(int(e.numerator), int(e.denominator))
+        return RatFunc(*(BiPoly({m: int(c) for m, c in p.terms()})
+                         for p in (e.numer, e.denom)))
+
+    def dense(mat):
+        return DomainMatrix.from_Matrix(sympy.Matrix(
+            mat.rows, mat.cols,
+            lambda i, j: to_sympy(mat.get(i + 1, j + 1) or 0))
+        ).convert_to(domain)
+
+    def rows(dm):
+        """The rows of a DomainMatrix as sparse vectors of rsqg scalars."""
+        return [{j: scalar(v) for j, v in enumerate(row, 1) if v}
+                for row in dm.to_list()]
+
+    return dense, rows
+
+
+def _oracle_inputs(rng, field):
+    """Dense 2x2 to 4x4 matrices, each also with a dependent last column,
+    and a block-diagonal one, singular too; entry degrees stay <= 2 (the
+    4x4 ones <= 1) to keep clear of the heavy tail of the bivariate gcd."""
+    if field.mode == "symbolic":
+        dense = [_polynomial_matrix(rng, n, n, 2 if n < 4 else 1,
+                                    3 if n < 4 else 2) for n in (2, 3, 4)]
+        c = field.r - 2
+    else:
+        dense = [random_sparse(rng, n, n, 0.9) for n in (2, 3, 4)]
+        c = Fraction(-3, 2)
+    dense += [_with_dependent_column(m, c) for m in dense]
+    blocks = [dense[0], dense[4], dense[1]]
+    return dense + [_block_diagonal(rng, blocks[:2]),
+                    _block_diagonal(rng, blocks[::2])]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("field", [SampledField(3, 2), SymbolicField()],
+                         ids=["sampled", "symbolic"])
+def test_elimination_against_sympy(field, seed):
+    """invert equals sympy's inverse; kernel_image_rank has sympy's rank,
+    and its kernel and image are the canonical bases that a field-based
+    Gauss-Jordan reference gives for sympy's nullspace and columnspace."""
+    sympy = pytest.importorskip("sympy")
+    dense, rows = _sympy_oracle(sympy, field)
+    for mat in _oracle_inputs(random.Random(seed), field):
+        m = dense(mat)
+        kernel, image, rank = kernel_image_rank(mat, field)
+        assert rank == m.rank()
+        # sympy's nullspace lists its vectors as rows, columnspace as columns
+        for got, span in ((kernel, m.nullspace()),
+                          (image, m.columnspace().transpose())):
+            assert (got.pivots, got.basis) == reference_echelon(rows(span))
+        cols = [mat.col(j) for j in range(1, mat.cols + 1)]
+        assert (image.pivots, image.basis) == reference_echelon(cols)
+        if rank < mat.rows:
+            with pytest.raises(SingularInput):
+                invert(mat, field)
+            continue
+        assert invert(mat, field).entries == {
+            (i, j): v for i, row in enumerate(rows(m.inv()), 1)
+            for j, v in row.items()}

@@ -251,6 +251,25 @@ def test_build_wedge_zero_module():
     assert mod.labels == []
 
 
+@pytest.mark.parametrize("field", [SampledField(3, 2), sym],
+                         ids=["sampled", "symbolic"])
+def test_zero_wedge_module_builds_no_ambient_generator(monkeypatch, field):
+    """For k > n the quotient is 0: the guard P G = G_hat P compares two
+    0-row matrices, so no generator of V^{x k} is built."""
+    def refuse(*args):
+        raise AssertionError("ambient generator built for a zero module")
+
+    monkeypatch.setattr(wedge_mod, "_tensor_generator", refuse)
+    for n, k in ((3, 4), (4, 6)):
+        names = [f"{g}{i}" for g in ("e", "f", "w", "wp")
+                 for i in range(1, n)]
+        names += [f"{g}{i}_inv" for g in ("w", "wp") for i in range(1, n)]
+        empty = {"rows": 0, "cols": 0, "entries": []}
+        assert build_wedge_module(n, k, field).to_json() == {
+            "n": n, "k": k, "dim": 0, "labels": [],
+            "generators": {name: empty for name in names}}
+
+
 def test_build_wedge_dimensions():
     assert build_wedge_module(4, 2, smp).dim == 6
     assert build_wedge_module(5, 3, smp).dim == 10
