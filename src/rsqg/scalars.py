@@ -7,7 +7,11 @@ lexicographic order with r before s), so structural equality coincides with
 field equality.  Integral coefficients are stored as int and only the others
 as Fraction: the two mix exactly, and equal values hash alike.  Coefficients
 are divided only by _div, since int / int would be a float.  The gcds behind
-it run on integer coefficients: a primitive remainder sequence in Z[s][r],
+it run on integer coefficients.  Most pairs met in elimination are coprime
+up to a monomial, and specialization proves it cheaply: at a point where
+neither leading coefficient vanishes, the gcd keeps its degree and divides
+the gcd of the specializations, so a constant gcd there rules out a common
+factor.  The other pairs take a primitive remainder sequence in Z[s][r],
 with the contents in Z[s] taken by the same sequence in one variable.
 Sampled computations substitute fixed rationals r0, s0 subject to genericity
 constraints, and all scalars are plain Fractions.
@@ -88,12 +92,16 @@ def _leading(terms):
 # gcds on integer coefficients.  A polynomial in Z[x] is a dense list of ints,
 # lowest degree first, with no trailing zero ([] is 0); one in Z[s][r] is a
 # list over the r-degree of such lists in s.  A gcd is only defined up to a
-# nonzero rational factor here, so the remainder sequences are primitive
-# (Collins, JACM 1967; Brown, JACM 1971): pseudo-remainders stay integral,
-# and each one is divided by its content before the next step.  Star
-# arguments come from lists, not generators: CPython resizes a tuple built
-# from a generator, and its tuple free lists then grow until a full
-# collection (2 MiB more peak RSS after 700 inverses of 2x2 matrices).
+# nonzero rational factor here.  A bivariate gcd first splits off the common
+# monomial and tries to certify the cofactors coprime by specialization
+# (_r_free_gcd): the certificate is exact, since it only ever proves a degree
+# is 0, and a pair it does not settle goes on to the remainder sequence.
+# The remainder sequences are primitive (Collins, JACM 1967; Brown, JACM
+# 1971): pseudo-remainders stay integral, and each one is divided by its
+# content before the next step.  Star arguments come from lists, not
+# generators: CPython resizes a tuple built from a generator, and its tuple
+# free lists then grow until a full collection (2 MiB more peak RSS after
+# 700 inverses of 2x2 matrices).
 
 def _z_primitive(p):
     """p over its integer content, with positive leading coefficient."""
@@ -222,9 +230,75 @@ def _zs_prem(f, g):
     return r
 
 
+def _z_eval(p, t):
+    """p(t) for p in Z[x] (Horner)."""
+    v = 0
+    for c in reversed(p):
+        v = v * t + c
+    return v
+
+
+def _zs_split_monomial(f):
+    """(a, b, f / (r^a s^b)) for the largest monomial r^a s^b dividing a
+    nonzero f in Z[s][r]."""
+    a = 0
+    while not f[a]:
+        a += 1
+    b = len(f[-1])
+    for co in f:
+        if co:
+            i = 0
+            while not co[i]:
+                i += 1
+            if i < b:
+                b = i
+                if not b:
+                    break
+    return a, b, [co[b:] for co in f[a:]] if b else f[a:]
+
+
+def _zs_swap(f):
+    """f in Z[s][r] as a list in Z[r][s]; the inner lists may end in
+    zeros, so they serve only _z_eval."""
+    return [[co[b] if b < len(co) else 0 for co in f]
+            for b in range(max(map(len, f)))]
+
+
+_CERTIFICATE_POINTS = 3
+
+
+def _r_free_gcd(f, g):
+    """Whether gcd(f, g) in Z[s][r] is proved free of r by specializing s.
+
+    At an integer t where neither leading coefficient in r vanishes, the
+    gcd h keeps its r-degree (lc(h) divides both), and h(r, t) divides
+    gcd(f(r, t), g(r, t)) in Z[r]; a constant gcd there proves h free of r.
+    Up to _CERTIFICATE_POINTS such points are tried; a leading coefficient
+    vanishes at no more points than its degree, so the search ends."""
+    if len(f) == 1 or len(g) == 1:
+        return True
+    misses = t = 0
+    while misses < _CERTIFICATE_POINTS:
+        t += 1
+        ft = [_z_eval(co, t) for co in f]
+        gt = [_z_eval(co, t) for co in g]
+        if ft[-1] and gt[-1]:
+            if len(_z_gcd(ft, gt)) == 1:
+                return True
+            misses += 1
+    return False
+
+
 def _b_gcd(f, g):
     """gcd of two nonzero bivariate term dicts (a, b) -> Fraction, up to a
-    rational factor: an integer term dict, {(0, 0): 1} when coprime."""
+    rational factor: an integer term dict, {(0, 0): 1} when coprime.
+
+    gcd(f, g) = r^a s^b gcd(f', g'), where r^a s^b is the largest
+    monomial dividing both, and f', g' are f, g over their own largest
+    monomial factors, so neither r nor s divides them.  When
+    specializations prove gcd(f', g') free of r and free of s
+    (_r_free_gcd, on f', g' and on their swaps), it is constant and the
+    gcd is r^a s^b; otherwise the remainder sequence computes it."""
     if len(f) == 1 or len(g) == 1:
         # a monomial divides a polynomial iff it divides every term
         if len(f) != 1:
@@ -236,8 +310,13 @@ def _b_gcd(f, g):
             if y < b:
                 b = y
         return {(a, b): 1}
-    pf, cf = _zs_primitive(_zs_from_terms(f))
-    pg, cg = _zs_primitive(_zs_from_terms(g))
+    af, bf, zf = _zs_split_monomial(_zs_from_terms(f))
+    ag, bg, zg = _zs_split_monomial(_zs_from_terms(g))
+    a, b = min(af, ag), min(bf, bg)
+    if _r_free_gcd(zf, zg) and _r_free_gcd(_zs_swap(zf), _zs_swap(zg)):
+        return {(a, b): 1}
+    pf, cf = _zs_primitive(zf)
+    pg, cg = _zs_primitive(zg)
     if len(pf) < len(pg):
         pf, pg = pg, pf
     # primitive remainder sequence in r; a primitive remainder of r-degree 0
@@ -250,8 +329,8 @@ def _b_gcd(f, g):
     else:
         pf = [[1]]
     d = _z_gcd(cf, cg)
-    return {(a, b): c for a, co in enumerate(pf)
-            for b, c in enumerate(_z_mul(co, d)) if c}
+    return {(x + a, y + b): c for x, co in enumerate(pf)
+            for y, c in enumerate(_z_mul(co, d)) if c}
 
 
 def _b_divexact(f, g):

@@ -927,7 +927,7 @@ def _sympy_oracle(sympy, field):
 def _oracle_inputs(rng, field):
     """Dense 2x2 to 4x4 matrices, each also with a dependent last column,
     and a block-diagonal one, singular too; entry degrees stay <= 2 (the
-    4x4 ones <= 1) to keep clear of the heavy tail of the bivariate gcd."""
+    4x4 ones <= 1), since sympy takes about 30 s on degree-2 4x4s."""
     if field.mode == "symbolic":
         dense = [_polynomial_matrix(rng, n, n, 2 if n < 4 else 1,
                                     3 if n < 4 else 2) for n in (2, 3, 4)]

@@ -104,6 +104,49 @@ def test_b_gcd_with_a_monomial(f, g, want):
     assert scalars._b_gcd(g, f) == want
 
 
+def _monic(terms):
+    lc = Fraction(terms[scalars._leading(terms)])
+    return {m: c / lc for m, c in terms.items()}
+
+
+def _no_remainder_sequence(monkeypatch):
+    def fail(f, g):
+        raise AssertionError("the remainder sequence ran")
+    monkeypatch.setattr(scalars, "_zs_prem", fail)
+
+
+def test_b_gcd_where_the_common_factor_is_constant_at_s_1_and_r_1():
+    # h(r, 1) = h(1, s) = 1, but the leading coefficients s - 1 and r - 1
+    # of h vanish there, so a certificate must skip those points
+    h = R * S - R - S + BiPoly.const(2)
+    assert h.evaluate(Fraction(7), 1) == h.evaluate(1, Fraction(7)) == 1
+    f = h * (R + S + S + BiPoly.const(3))
+    g = h * (R + R + S + BiPoly.const(5))
+    assert _monic(scalars._b_gcd(f.terms, g.terms)) == _monic(h.terms)
+    assert _monic(scalars._b_gcd(g.terms, f.terms)) == _monic(h.terms)
+    assert RatFunc(f, g) == RatFunc(R + S + S + BiPoly.const(3),
+                                    R + R + S + BiPoly.const(5))
+
+
+def test_b_gcd_of_a_pair_sharing_only_a_monomial(monkeypatch):
+    # r^2 s (r + s + 1) and r s^3 (r - 2s + 3): the certificate proves the
+    # cofactors coprime, so the remainder sequence never runs
+    _no_remainder_sequence(monkeypatch)
+    f = R * R * S * (R + S + ONE)
+    g = R * S**3 * (R - S - S + BiPoly.const(3))
+    assert scalars._b_gcd(f.terms, g.terms) == {(1, 1): 1}
+    assert scalars._b_gcd(g.terms, f.terms) == {(1, 1): 1}
+
+
+def test_b_gcd_certifies_past_an_unlucky_first_point(monkeypatch):
+    # r^2 + s - 1 and r + s - 1 are coprime, but share r at s = 1 and s at
+    # r = 1: the certificate needs its second point in each variable
+    _no_remainder_sequence(monkeypatch)
+    f = R * R + S - ONE
+    g = R + S - ONE
+    assert scalars._b_gcd(f.terms, g.terms) == {(0, 0): 1}
+
+
 def test_leading_monomial_is_the_graded_lex_maximum():
     rng_lm = random.Random(3)
     for _ in range(200):
