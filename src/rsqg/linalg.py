@@ -20,11 +20,13 @@ stay fully reduced and share one pivot value D, the determinant of the
 pivot minor, and its only divisions, by D, are exact.  kernel_image_rank,
 invert and Subspace.from_vectors first split their columns or vectors
 into the connected components of the graph that joins two sharing an
-index, and give each component its own echelon and its own D.  No
-Fraction or RatFunc is formed while eliminating: each entry of a result
-is read out once, as a numerator over D.  Quotients need no elimination:
-QuotientData only holds coset representatives and a projection, which
-rsqg.wedge builds directly from its gain graph.
+index, and give each component its own echelon and its own D.  Each
+result takes one elimination: kernel_image_rank reads its kernel, as
+invert reads the inverse, from the histories of the column elimination.
+No Fraction or RatFunc is formed while eliminating: each entry of a
+result is read out once, as a numerator over D.  Quotients need no
+elimination: QuotientData only holds coset representatives and a
+projection, which rsqg.wedge builds directly from its gain graph.
 """
 
 from __future__ import annotations
@@ -478,19 +480,6 @@ def _components(vecs):
     return list(groups.values())
 
 
-def _span(ambient_dim, vecs, make):
-    """The Subspace spanned by the numerator vectors vecs (a dict), one
-    echelon per component, with values read out by make."""
-    basis = {}
-    for block in _components(vecs):
-        ech = _Echelon()
-        for k in block:
-            ech.insert(vecs[k])
-        basis.update(ech.basis(make))
-    pivots = sorted(basis)
-    return Subspace(ambient_dim, [basis[p] for p in pivots], pivots)
-
-
 def _numerators(vec):
     """A vector times the lcm of its denominators: ints over Q, BiPolys
     over Q(r, s)."""
@@ -514,9 +503,23 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
+        """The span of the vectors, one echelon per component."""
         den, cols = _column_form({(i, j): v for j, vec in enumerate(vectors)
                                   for i, v in vec.items() if v})
-        return _span(ambient_dim, cols, _read_out(den))
+        make = _read_out(den)
+        basis = {}
+        for block in _components(cols):
+            ech = _Echelon()
+            for k in block:
+                ech.insert(cols[k])
+            basis.update(ech.basis(make))
+        return cls._from_rows(ambient_dim, basis)
+
+    @classmethod
+    def _from_rows(cls, ambient_dim, rows):
+        """The Subspace of a canonical basis given as {pivot: vector}."""
+        pivots = sorted(rows)
+        return cls(ambient_dim, [rows[p] for p in pivots], pivots)
 
     @property
     def dim(self):
@@ -538,14 +541,6 @@ class Subspace:
         return (self.ambient_dim == other.ambient_dim
                 and self.pivots == other.pivots
                 and self.basis == other.basis)
-
-    def basis_matrix(self):
-        """ambient_dim x dim matrix whose columns are the basis vectors."""
-        ent = {}
-        for j, vec in enumerate(self.basis, 1):
-            for i, v in vec.items():
-                ent[(i, j)] = v
-        return Matrix(self.ambient_dim, len(self.basis), ent, _clean=True)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in {self.ambient_dim})"
@@ -572,25 +567,27 @@ def _column_blocks(mat):
 
 
 def kernel_image_rank(mat, field):
-    """(kernel, image, rank) of a sparse matrix by exact elimination.
+    """(kernel, image, rank) of a sparse matrix by one exact elimination.
 
     Columns are processed left to right within each component; each
     column either extends the echelon of the image or certifies a kernel
-    vector through the recorded combination of original columns
+    vector, its history h_j: the vanishing combination of the numerator
+    columns, supported on j and on earlier pivot columns.  So the h_j
+    over h_j[j] already form the reduced echelon basis of the kernel, and
+    each is read out as a one-row echelon with pivot value h_j[j]
     (deterministic output).  The image basis has the type of the entries
     of mat (Fractions when they are ints or Fractions), the kernel basis
     that of field.
     """
     image, kernel = {}, {}
     den = mat._form()[0]
-    make = _read_out(den)
+    make, field_make = _read_out(den), _read_out(den, field)
     for ech, dependent in _column_blocks(mat):
         image.update(ech.basis(make))
-        kernel.update(dependent)
-    pivots = sorted(image)
-    return (_span(mat.cols, kernel, _read_out(den, field)),
-            Subspace(mat.rows, [image[p] for p in pivots], pivots),
-            len(image))
+        for j, h in dependent.items():
+            kernel.update(_Echelon({j: h}, h[j]).basis(field_make))
+    return (Subspace._from_rows(mat.cols, kernel),
+            Subspace._from_rows(mat.rows, image), len(image))
 
 
 def invert(mat, field):

@@ -449,14 +449,13 @@ def weight_spaces(rep):
 
 
 def highest_weight_vectors(rep):
-    """Basis of the joint kernel of all e_i, tagged with weights."""
-    fld = rep.field
-    space, _, _ = kernel_image_rank(rep.e(1), fld)
-    for i in range(2, rep.n):
-        bm = space.basis_matrix()
-        coeffs, _, _ = kernel_image_rank(rep.e(i) * bm, fld)
-        vecs = [bm.apply(c) for c in coeffs.basis]
-        space = Subspace.from_vectors(rep.dim, vecs)
+    """Canonical basis of the joint kernel of all e_i, tagged with weights:
+    the kernel of the e_i stacked into one (n-1) dim x dim matrix."""
+    dim = rep.dim
+    stacked = {((i - 1) * dim + a, b): v for i in range(1, rep.n)
+               for (a, b), v in rep.e(i).entries.items()}
+    space, _, _ = kernel_image_rank(
+        Matrix((rep.n - 1) * dim, dim, stacked, _clean=True), rep.field)
     weights = _verified_weights(rep)
     out = []
     for vec in space.basis:

@@ -178,3 +178,21 @@ def reference_echelon(vectors):
         rows[q] = new
     pivots = sorted(rows)
     return pivots, [rows[p] for p in pivots]
+
+
+def per_generator_highest_weight_space(rep):
+    """The joint kernel of the e_i of rep, one generator at a time: the
+    kernel of e_1, then for each further e_i the kernel of e_i restricted
+    to the space so far, mapped back and re-spanned.  A reference for
+    rsqg.highest_weight_vectors, which takes one kernel of the stacked e_i."""
+    from rsqg import Subspace, kernel_image_rank
+
+    space, _, _ = kernel_image_rank(rep.e(1), rep.field)
+    for i in range(2, rep.n):
+        basis = Matrix(rep.dim, space.dim, {
+            (t, j): v for j, vec in enumerate(space.basis, 1)
+            for t, v in vec.items()})
+        coeffs, _, _ = kernel_image_rank(rep.e(i) * basis, rep.field)
+        space = Subspace.from_vectors(
+            rep.dim, [basis.apply(c) for c in coeffs.basis])
+    return space

@@ -866,6 +866,42 @@ def test_component_split_changes_only_speed(monkeypatch):
     assert results() == split
 
 
+@pytest.mark.parametrize("field", [SampledField(3, 2), SymbolicField()],
+                         ids=["sampled", "symbolic"])
+def test_kernel_image_rank_eliminates_once(monkeypatch, field):
+    """kernel_image_rank runs one elimination: it adds exactly rank rows
+    and inserts nothing, since each kernel vector is read from the history
+    of a dependent column.  That kernel is already the canonical basis
+    that from_vectors gives for its vectors, pivots and value types too."""
+    rng = random.Random(29)
+    mats = _eliminate_inputs(rng, field)
+    if field.mode == "symbolic":
+        mats.append(_polynomial_matrix(rng, 5, 2, 1)
+                    * _polynomial_matrix(rng, 2, 6, 1))
+    else:
+        mats.append(random_sparse(rng, 5, 2, 0.8) * random_sparse(rng, 2, 6))
+    counts = {}
+    for name in ("add", "insert"):
+        def counted(self, *args, _original=getattr(linalg._Echelon, name),
+                    _name=name):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(linalg._Echelon, name, counted)
+    kernel_dims = []
+    for mat in mats:
+        counts.update(add=0, insert=0)
+        kernel, image, rank = kernel_image_rank(mat, field)
+        assert counts == {"add": rank, "insert": 0}
+        assert kernel.dim == mat.cols - rank
+        assert all(mat.apply(v) == {} for v in kernel.basis)
+        assert _typed(Subspace.from_vectors(mat.cols, kernel.basis)) == (
+            _typed(kernel))
+        kernel_dims.append(kernel.dim)
+    # the low-rank product has a kernel of dimension at least 4
+    assert kernel_dims[-1] >= 4
+
+
 def _blocks(mat):
     return linalg._components({j: mat.col(j) for j in range(1, mat.cols + 1)})
 

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -11,7 +13,7 @@ from rsqg import (InvalidPower, InvalidRank, Matrix, NonDiagonalAction,
                   tensor_index, tensor_power_rep, tensor_tuple, weight_char,
                   weight_spaces)
 
-from helpers import kron_tensor_power
+from helpers import kron_tensor_power, per_generator_highest_weight_space
 
 sym = SymbolicField()
 smp = SampledField(2, 3)
@@ -324,6 +326,49 @@ def test_highest_weight_vectors_tensor_square():
     line = by_weight[(1, 1)]
     assert set(line) == {2, 3}
     assert line[2] / line[3] == -(sym.r**-1)
+
+
+def _partitions(k, parts, largest=None):
+    """Partitions of k into at most parts parts, padded with zeros."""
+    largest = k if largest is None else largest
+    if parts == 0:
+        return [()] if k == 0 else []
+    return [(a,) + rest for a in range(min(k, largest), -1, -1)
+            for rest in _partitions(k - a, parts - 1, a)]
+
+
+def _standard_tableaux(lam):
+    """f^lam, the number of standard Young tableaux of shape lam, by the
+    hook length formula."""
+    conj = [sum(1 for row in lam if row > c) for c in range(lam[0])]
+    hooks = prod(row - c + conj[c] - i - 1
+                 for i, row in enumerate(lam) for c in range(row))
+    return factorial(sum(lam)) // hooks
+
+
+@pytest.mark.parametrize("field", [SampledField(2, 3), SampledField(5, -3),
+                                   SymbolicField()],
+                         ids=["2,3", "5,-3", "symbolic"])
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_highest_weight_vectors_of_tensor_powers(field, n, k):
+    """V^{x k} has f^lam highest weight vectors of weight lam for each
+    partition lam of k into at most n parts, each homogeneous and killed
+    by every e_i, and they are the canonical basis that the per-generator
+    construction gives, value types included."""
+    rep = tensor_power_rep(n, k, field)
+    hw = highest_weight_vectors(rep)
+    assert Counter(w.coords for _, w in hw) == {
+        lam: _standard_tableaux(lam) for lam in _partitions(k, n)}
+    for vec, w in hw:
+        assert {rep.weights[t - 1] for t in vec} == {w}
+        assert all(rep.e(i).apply(vec) == {} for i in range(1, n))
+    ref = per_generator_highest_weight_space(rep).basis
+
+    def typed(vecs):
+        return [sorted((t, type(v), v) for t, v in vec.items())
+                for vec in vecs]
+
+    assert typed(vec for vec, _ in hw) == typed(ref)
 
 
 def test_hopf_antipode_check():
