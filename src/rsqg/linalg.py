@@ -566,26 +566,38 @@ def _column_blocks(mat):
         yield ech, dependent
 
 
+def _kernel_blocks(mat, field):
+    """Eliminate the columns of mat once (_column_blocks) and yield per
+    component its echelon and its kernel basis rows {j: vector}.
+
+    Each dependent column j certifies a kernel vector, its history h_j:
+    the vanishing combination of the numerator columns, supported on j
+    and on earlier pivot columns.  So the h_j over h_j[j] already form
+    the reduced echelon basis of the kernel, and each is read out as a
+    one-row echelon with pivot value h_j[j], in the type of field.
+    """
+    make = _read_out(mat._form()[0], field)
+    for ech, dependent in _column_blocks(mat):
+        kernel = {}
+        for j, h in dependent.items():
+            kernel.update(_Echelon({j: h}, h[j]).basis(make))
+        yield ech, kernel
+
+
 def kernel_image_rank(mat, field):
     """(kernel, image, rank) of a sparse matrix by one exact elimination.
 
     Columns are processed left to right within each component; each
     column either extends the echelon of the image or certifies a kernel
-    vector, its history h_j: the vanishing combination of the numerator
-    columns, supported on j and on earlier pivot columns.  So the h_j
-    over h_j[j] already form the reduced echelon basis of the kernel, and
-    each is read out as a one-row echelon with pivot value h_j[j]
-    (deterministic output).  The image basis has the type of the entries
-    of mat (Fractions when they are ints or Fractions), the kernel basis
-    that of field.
+    vector (_kernel_blocks), so both bases are reduced and deterministic.
+    The image basis has the type of the entries of mat (Fractions when
+    they are ints or Fractions), the kernel basis that of field.
     """
     image, kernel = {}, {}
-    den = mat._form()[0]
-    make, field_make = _read_out(den), _read_out(den, field)
-    for ech, dependent in _column_blocks(mat):
+    make = _read_out(mat._form()[0])
+    for ech, rows in _kernel_blocks(mat, field):
         image.update(ech.basis(make))
-        for j, h in dependent.items():
-            kernel.update(_Echelon({j: h}, h[j]).basis(field_make))
+        kernel.update(rows)
     return (Subspace._from_rows(mat.cols, kernel),
             Subspace._from_rows(mat.rows, image), len(image))
 

@@ -19,7 +19,8 @@ import math
 
 from .linalg import Matrix, invert, pair_placements, tensor_index
 from .scalars import specialize_jimbo
-from .uqrs import CheckItem, CheckReport, InvalidPower, InvalidRank, _compare
+from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
+                   _compare, _compare_diagonal)
 
 
 class InternalMismatch(AssertionError):
@@ -217,7 +218,13 @@ def check_min_poly(rz):
 
 def check_module_morphism(R, rep):
     """R, an operator on V x V, at every adjacent position of rep = V^{x k}
-    commutes with every generator; one row per (position, generator)."""
+    commutes with every generator; one row per (position, generator).
+
+    A row of a diagonal generator g (the w_i, w_i' and their inverses on
+    V^{x k}) says that padded R preserves the weights; it is decided from
+    g's diagonal (uqrs._compare_diagonal), and R g and g R are built only
+    when it fails, for the witness.
+    """
     n = _factor_dim(R)
     k = round(math.log(rep.dim, n)) if n > 1 and rep.dim else 1
     if n**k != rep.dim:
@@ -229,7 +236,8 @@ def check_module_morphism(R, rep):
         rp = _padded(R, pos, k)
         for name in rep.generator_names():
             g = rep.gens[name]
-            checks.append(_compare("morphism", (pos, name), rp * g, g * rp))
+            checks.append(_compare_diagonal("morphism", (pos, name), g, rp, 1,
+                                            lambda: (rp * g, g * rp)))
     return CheckReport(checks)
 
 

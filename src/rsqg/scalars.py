@@ -183,14 +183,16 @@ def _z_divexact(f, g):
 
 
 def _zs_from_terms(terms):
-    """Z[s][r] list of a bivariate term dict with denominators cleared."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    out = [[] for _ in range(max(a for a, _ in terms) + 1)]
+    """Z[s][r] list of a bivariate term dict with denominators cleared
+    (an all-int dict has none to clear)."""
+    den = (lcm(*[c.denominator for c in terms.values()])
+           if _fractional(terms) else 0)
+    out = [[] for _ in range(max(terms)[0] + 1)]
     for (a, b), c in terms.items():
         co = out[a]
         if len(co) <= b:
             co.extend([0] * (b + 1 - len(co)))
-        co[b] = c.numerator * (den // c.denominator)
+        co[b] = c.numerator * (den // c.denominator) if den else c
     return out
 
 

@@ -29,7 +29,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import Matrix, Subspace, kernel_image_rank
+from .linalg import _RATIONAL, Matrix, Subspace, _kernel_blocks, _lift
+from .scalars import RatFunc
 
 
 class InvalidRank(ValueError):
@@ -103,6 +104,35 @@ def _compare(name, indices, lhs, rhs):
             witness = {"witness_basis_index": j, "lhs": cl, "rhs": cr}
             break
     return CheckItem(name, indices, False, witness)
+
+
+def _compare_diagonal(name, indices, d, x, c, sides):
+    """_compare(name, indices, *sides()) for a row d x = c x d, where
+    sides builds its two products.
+
+    When d is diagonal the row holds iff d_i x_ij = c x_ij d_j wherever
+    x_ij != 0, that is q d_i == p d_j on the numerators of d's column
+    form for c = p/q; a missing d_i is 0 and reads as None on both sides.
+    A row that holds forms no product.  A d that is not diagonal, or a
+    row that fails, goes to _compare on sides(), which finds the witness.
+    """
+    form = d._form()
+    if type(form[0]) is not int or type(c) not in _RATIONAL:
+        c = RatFunc._coerce(c)
+        form = _lift(form, (c.den, {}))[0]
+    cols = form[1]
+    diag = {j: col[j] for j, col in cols.items() if j in col}
+    # diagonal: every column holds its diagonal entry and nothing else
+    if len(diag) == len(cols) == sum(map(len, cols.values())):
+        p, q = c.numerator, c.denominator
+        left = right = diag
+        if p != q:
+            left = {i: q * v for i, v in diag.items()}
+            right = {j: p * v for j, v in diag.items()}
+        if not [i for j, col in x._form()[1].items() for i in col
+                if left.get(i) != right.get(j)]:
+            return CheckItem(name, indices, True)
+    return _compare(name, indices, *sides())
 
 
 _GEN_FAMILIES = ("e", "f", "w", "wp", "w_inv", "wp_inv")
@@ -304,7 +334,14 @@ def tensor_action(field, n, name, tup):
 
 
 def check_defining_relations(rep):
-    """Verify R1-R7 on a representation; report every identity checked."""
+    """Verify R1-R7 on a representation; report every identity checked.
+
+    R1 comm-ww, comm-wpwp, comm-wwp and every R2/R3 row have the form
+    D X = c X D with D a group-like.  When D is diagonal they are decided
+    from its diagonal (_compare_diagonal), and their two products are
+    built only for a row that fails, whose witness is then the first
+    differing column, as for every other row.
+    """
     n, fld = rep.n, rep.field
     r, s = fld.r, fld.s
     ident = Matrix.identity(rep.dim, fld.one)
@@ -318,27 +355,34 @@ def check_defining_relations(rep):
     for i in range(1, n):
         checks.append(_compare("R1:inv-w", (i,), rep.w(i) * rep.w_inv(i), ident))
         checks.append(_compare("R1:inv-wp", (i,), rep.wp(i) * rep.wp_inv(i), ident))
+
+    def commute(name, ij, d, x):
+        return _compare_diagonal(name, ij, d, x, 1, lambda: (d * x, x * d))
+
+    def twisted(name, ij, d, x, c):
+        # d x = c x d
+        return _compare_diagonal(name, ij, d, x, c,
+                                 lambda: (d * x, (x * d).scale(c)))
+
     for i in range(1, n):
         for j in range(1, n):
             if i < j:
-                checks.append(_compare("R1:comm-ww", (i, j),
-                                       rep.w(i) * rep.w(j), rep.w(j) * rep.w(i)))
-                checks.append(_compare("R1:comm-wpwp", (i, j),
-                                       rep.wp(i) * rep.wp(j), rep.wp(j) * rep.wp(i)))
-            checks.append(_compare("R1:comm-wwp", (i, j),
-                                   rep.w(i) * rep.wp(j), rep.wp(j) * rep.w(i)))
+                checks.append(commute("R1:comm-ww", (i, j), rep.w(i), rep.w(j)))
+                checks.append(commute("R1:comm-wpwp", (i, j),
+                                      rep.wp(i), rep.wp(j)))
+            checks.append(commute("R1:comm-wwp", (i, j), rep.w(i), rep.wp(j)))
     for i in range(1, n):
         for j in range(1, n):
             a = pairing(i, j)
             b = pairing(i + 1, j)
-            checks.append(_compare("R2:we", (i, j), rep.w(i) * rep.e(j),
-                                   (rep.e(j) * rep.w(i)).scale(fld.rs_power(a, b))))
-            checks.append(_compare("R2:wf", (i, j), rep.w(i) * rep.f(j),
-                                   (rep.f(j) * rep.w(i)).scale(fld.rs_power(-a, -b))))
-            checks.append(_compare("R3:wpe", (i, j), rep.wp(i) * rep.e(j),
-                                   (rep.e(j) * rep.wp(i)).scale(fld.rs_power(b, a))))
-            checks.append(_compare("R3:wpf", (i, j), rep.wp(i) * rep.f(j),
-                                   (rep.f(j) * rep.wp(i)).scale(fld.rs_power(-b, -a))))
+            checks.append(twisted("R2:we", (i, j), rep.w(i), rep.e(j),
+                                  fld.rs_power(a, b)))
+            checks.append(twisted("R2:wf", (i, j), rep.w(i), rep.f(j),
+                                  fld.rs_power(-a, -b)))
+            checks.append(twisted("R3:wpe", (i, j), rep.wp(i), rep.e(j),
+                                  fld.rs_power(b, a)))
+            checks.append(twisted("R3:wpf", (i, j), rep.wp(i), rep.f(j),
+                                  fld.rs_power(-b, -a)))
     coef = fld.one / (r - s)
     for i in range(1, n):
         for j in range(1, n):
@@ -450,15 +494,19 @@ def weight_spaces(rep):
 
 def highest_weight_vectors(rep):
     """Canonical basis of the joint kernel of all e_i, tagged with weights:
-    the kernel of the e_i stacked into one (n-1) dim x dim matrix."""
+    the kernel of the e_i stacked into one (n-1) dim x dim matrix, whose
+    image is never read out."""
     dim = rep.dim
     stacked = {((i - 1) * dim + a, b): v for i in range(1, rep.n)
                for (a, b), v in rep.e(i).entries.items()}
-    space, _, _ = kernel_image_rank(
-        Matrix((rep.n - 1) * dim, dim, stacked, _clean=True), rep.field)
+    kernel = {}
+    for _, rows in _kernel_blocks(
+            Matrix((rep.n - 1) * dim, dim, stacked, _clean=True), rep.field):
+        kernel.update(rows)
     weights = _verified_weights(rep)
     out = []
-    for vec in space.basis:
+    for pivot in sorted(kernel):
+        vec = kernel[pivot]
         support_weights = {weights[t - 1] for t in vec}
         if len(support_weights) != 1:
             raise NonDiagonalAction("highest weight vector is not homogeneous")

@@ -28,6 +28,8 @@ COMMANDS = {
     "rep_tensor_n2_k3_symbolic": "rep tensor -n 2 -k 3 --symbolic",
     "rep_tensor_n3_k3_r1_2_s3": "rep tensor -n 3 -k 3 --r 1/2 --s 3",
     "rep_check_n3_k1": "rep check -n 3 -k 1",
+    "rep_check_n3_k3_r1_2_s3": "rep check -n 3 -k 3 --r 1/2 --s 3",
+    "rep_check_n2_k3_symbolic": "rep check -n 2 -k 3 --symbolic",
     "weights_n3_k1": "weights -n 3 -k 1",
     "weights_n3_k3_symbolic": "weights -n 3 -k 3 --symbolic",
     "weights_n4_k4_r1_2_s3": "weights -n 4 -k 4 --r 1/2 --s 3",

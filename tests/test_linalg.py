@@ -715,6 +715,79 @@ def test_corrupted_symbolic_generator_fails_with_the_recomputed_witness():
     assert {row for row, (x, y) in rows.items() if x != y} == set(failed)
 
 
+def _w1_rows(rep, R):
+    """(name, indices) -> (lhs, rhs) as dicts of entries, recomputed
+    entrywise, for every check row of a rank-3 V^{x k} whose identity
+    involves w1: w1 w1^-1 = 1, w1 commuting with w2, w1' and w2',
+    w1 x = c x w1 for x = e_j, f_j, [e1, f1] = (w1 - w1')/(r - s), and R
+    at each position commuting with w1 (R padded by Kronecker products)."""
+    fld = rep.field
+    r, s, one = fld.r, fld.s, fld.one
+    g = {name: rep.gens[name].entries for name in rep.gens}
+    w1 = g["w1"]
+    rows = {("R1:inv-w", (1,)): (_rf_mul(w1, g["w1_inv"]), {
+        (t, t): one for t in range(1, rep.dim + 1)})}
+    for name, x in (("R1:comm-ww", "w2"), ("R1:comm-wwp", "wp1"),
+                    ("R1:comm-wwp", "wp2")):
+        rows[(name, (1, int(x[-1])))] = _rf_mul(w1, g[x]), _rf_mul(g[x], w1)
+    # w1 acts by r, s, 1 on v1, v2, v3
+    for name, x, c in (("R2:we", "e1", r / s), ("R2:we", "e2", s),
+                       ("R2:wf", "f1", s / r), ("R2:wf", "f2", one / s)):
+        rows[(name, (1, int(x[-1])))] = (_rf_mul(w1, g[x]),
+                                         _rf_lin({}, c, _rf_mul(g[x], w1)))
+    coef = one / (r - s)
+    rows[("R4", (1, 1))] = (
+        _rf_lin(_rf_mul(g["e1"], g["f1"]), -one, _rf_mul(g["f1"], g["e1"])),
+        _rf_lin(_rf_lin({}, coef, w1), -coef, g["wp1"]))
+    k = sum(rep.weights[0].coords)  # v1 x ... x v1 has weight k eps_1
+    for pos in range(1, k):
+        rp = Matrix.identity(3**(pos - 1), one).kron(R).kron(
+            Matrix.identity(3**(k - pos - 1), one)).entries
+        rows[("morphism", (pos, "w1"))] = _rf_mul(rp, w1), _rf_mul(w1, rp)
+    return rows
+
+
+@pytest.mark.parametrize("how", ["off-diagonal", "scaled"])
+@pytest.mark.parametrize("field, k", [(SampledField(Fraction(1, 2), 3), 3),
+                                      (sym, 2)], ids=["sampled", "symbolic"])
+def test_corrupted_w1_fails_the_rows_of_the_recomputation(field, k, how):
+    # w1 either stops being diagonal or acts on one basis vector by a
+    # wrong value; each row involving w1 fails exactly where its
+    # recomputed sides differ, with their first differing column as the
+    # witness, and every other row passes
+    rep = tensor_power_rep(3, k, field)
+    ent = dict(rep.w(1).entries)
+    t = tensor_index((1, 2, 1)[:k], 3)
+    if how == "off-diagonal":
+        ent[(1, t)] = field.r
+    else:
+        ent[(t, t)] = ent[(t, t)] * -3
+    gens = dict(rep.gens, w1=Matrix(rep.dim, rep.dim, ent))
+    bad = Representation(rep.n, rep.dim, gens, field, rep.weights)
+    R = build_r(3, field)
+    rows = _w1_rows(bad, R)
+    failed = set()
+    for report in (check_defining_relations(bad), check_module_morphism(R, bad)):
+        assert not report.ok
+        for x, row in zip(report.checks, report.to_json()):
+            lhs, rhs = rows.get((x.name, x.indices), ({}, {}))
+            want = next(({"witness_basis_index": j, "lhs": _rf_col(lhs, j),
+                          "rhs": _rf_col(rhs, j)}
+                         for j in range(1, bad.dim + 1)
+                         if _rf_col(lhs, j) != _rf_col(rhs, j)), None)
+            assert x.ok == (want is None) and x.witness == want, row
+            if want is not None:
+                failed.add((x.name, x.indices))
+                assert row["witness_basis_index"] == want["witness_basis_index"]
+                for side in ("lhs", "rhs"):
+                    assert row[side] == {str(i): str(v) for i, v
+                                         in sorted(want[side].items())}
+    assert {("R1:inv-w", (1,)), ("R2:we", (1, 1)),
+            ("morphism", (1, "w1"))} <= failed
+    # two diagonal matrices commute, so only an off-diagonal w1 fails R1:comm
+    assert (("R1:comm-ww", (1, 2)) in failed) == (how == "off-diagonal")
+
+
 # The fraction-free kernel: eliminate-style inputs, a sympy oracle, and the
 # component split.
 

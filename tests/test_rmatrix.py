@@ -6,7 +6,8 @@ import pytest
 from rsqg import (CheckReport, InvalidPower, InvalidRank, Matrix,
                   SampledField, SingularInput, SpectralRMatrix, SymbolicField,
                   build_r, build_r_inverse, build_r_z, check_braid_constant,
-                  check_min_poly, check_module_morphism, check_ybe_spectral,
+                  check_defining_relations, check_min_poly,
+                  check_module_morphism, check_ybe_spectral,
                   invert, jimbo_compare, natural_rep, specialize_jimbo,
                   spectral_projector_check, tensor_index, tensor_power_rep,
                   yang_baxterize)
@@ -129,6 +130,28 @@ def test_r_checks_build_no_kronecker_product(monkeypatch, field):
     assert check_ybe_spectral(build_r_z(2, field)).ok
     assert check_module_morphism(build_r(2, field),
                                  tensor_power_rep(2, 3, field)).ok
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_group_like_rows_build_no_product(monkeypatch, field):
+    # rows D X = c X D with D = w_i, w_i' or an inverse are decided from
+    # the diagonal of D; only the rows of e_i and f_i multiply matrices
+    rep, R = tensor_power_rep(3, 3, field), build_r(3, field)
+    calls = []
+    product = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert check_module_morphism(R, rep).ok
+    # e1, e2, f1, f2 at positions 1 and 2, two products each
+    assert len(calls) == 16
+    calls.clear()
+    assert check_defining_relations(rep).ok
+    # R1 inverses 4, R4 8, and 10 for each of R6 and R7
+    assert len(calls) == 32
 
 
 def test_min_poly():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -75,6 +76,45 @@ def test_relation_failure_witness():
     json_rows = report.to_json()
     failing = [row for row in json_rows if not row["ok"]]
     assert failing and "lhs" in failing[0] and "rhs" in failing[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_diagonal_rows_decide_as_the_products_do(seed):
+    # _compare_diagonal decides d x = c x d from the diagonal of d, with
+    # d, x and c over either field or mixed, d with missing diagonal
+    # entries or an off-diagonal one; each verdict and witness is that of
+    # _compare on the two products
+    rng = random.Random(seed)
+    r, one = sym.r, sym.one
+    pools = {"Q": ([1, 2, 4, Fraction(-1, 3)], [1, 2, Fraction(1, 2)]),
+             "Q(r, s)": ([one, r, r * r, sym.s], [1, r, 1 / r])}
+    verdicts = Counter()
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        dvals, cvals = pools[rng.choice(list(pools))]
+        c = rng.choice(cvals)
+        if rng.random() < 0.2:  # c from the other field
+            c = sym.from_fraction(2) if c in (1, 2, Fraction(1, 2)) else 2
+        diag = {t: rng.choice(dvals) for t in range(1, dim + 1)
+                if rng.random() < 0.85}
+        ent = {(t, t): v for t, v in diag.items()}
+        if rng.random() < 0.2:
+            ent[(rng.randint(1, dim), rng.randint(1, dim))] = 3
+        # x mostly on the pairs where d_i = c d_j, so that rows also hold
+        pairs = [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)
+                 if rng.random() < 0.1
+                 or diag.get(i, 0) == c * diag.get(j, 0) and rng.random() < 0.7]
+        xvals = rng.choice(list(pools.values()))[0]
+        d = Matrix(dim, dim, ent)
+        x = Matrix(dim, dim, {ij: rng.choice(xvals) for ij in pairs})
+
+        def sides():
+            return d * x, (x * d).scale(c)
+
+        got = uqrs_mod._compare_diagonal("row", (1,), d, x, c, sides)
+        assert got == uqrs_mod._compare("row", (1,), *sides())
+        verdicts[got.ok] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10
 
 
 def test_tensor_power_rep_k1_is_base():
