@@ -13,16 +13,16 @@ over a monic BiPoly den over Q(r, s).  So the checks multiply and add
 integers or polynomials and reduce no fraction per entry; the entries of
 a result turn into Fractions or RatFuncs only when read.
 
-All elimination runs through one kernel, _Echelon: subspace spans and
-membership, kernel/image/rank and the inverse.  It is fraction-free
-Gauss-Jordan elimination (Bareiss) on those numerator values: its rows
-stay fully reduced and share one pivot value D, the determinant of the
-pivot minor, and its only divisions, by D, are exact.  kernel_image_rank,
-invert and Subspace.from_vectors first split their columns or vectors
-into the connected components of the graph that joins two sharing an
-index, and give each component its own echelon and its own D.  Each
-result takes one elimination: kernel_image_rank reads its kernel, as
-invert reads the inverse, from the histories of the column elimination.
+All elimination is one column pass, _column_blocks, over one kernel,
+_Echelon: fraction-free Gauss-Jordan elimination (Bareiss) on the
+numerator columns, whose rows stay fully reduced over one pivot value
+D, the determinant of the pivot minor, and divide only by D, exactly.
+The pass gives each connected component of the columns (two join when
+they share an index) its own echelon and D, and enters column j with a
+unit at index -j, so each row carries its history at negative indices.
+Subspace.from_vectors reads the image of the matrix whose columns are
+the vectors, kernel_image_rank also its kernel from the histories of
+the dependent columns, and invert the inverse from those of the rows.
 No Fraction or RatFunc is formed while eliminating: each entry of a
 result is read out once, as a numerator over D.  Quotients need no
 elimination: QuotientData only holds coset representatives and a
@@ -182,12 +182,35 @@ class Matrix:
     def scale(self, c):
         if not c:
             return Matrix.zero(self.rows, self.cols)
+        (den, cols), c = self._with_scalar(c)
+        return Matrix._from_form(self.rows, self.cols, (
+            den * c.denominator, _times(cols, c.numerator)))
+
+    def _with_scalar(self, c):
+        """(column form, c), both lifted over Q(r, s) unless both are
+        over Q."""
         q = self._form()
         if type(q[0]) is not int or type(c) not in _RATIONAL:
             c = RatFunc._coerce(c)
-            q = _lift(q, (c.den, {}))[0]  # over Q(r, s), as c is
-        return Matrix._from_form(self.rows, self.cols, (
-            q[0] * c.denominator, _times(q[1], c.numerator)))
+            q = _lift(q, (c.den, {}))[0]
+        return q, c
+
+    def _diagonal_twist(self, x, c):
+        """Whether self is diagonal and self x = c x self, with no product:
+        for c = p/q, q d_i == p d_j on self's diagonal numerators d where
+        x_ij != 0 (a missing d_i is 0 and reads as None on both sides)."""
+        (_, cols), c = self._with_scalar(c)
+        diag = {j: col[j] for j, col in cols.items() if j in col}
+        # diagonal: every column holds its diagonal entry and nothing else
+        if not len(diag) == len(cols) == sum(map(len, cols.values())):
+            return False
+        p, q = c.numerator, c.denominator
+        left = right = diag
+        if p != q:
+            left = {i: q * v for i, v in diag.items()}
+            right = {j: p * v for j, v in diag.items()}
+        return not [i for j, col in x._form()[1].items() for i in col
+                    if left.get(i) != right.get(j)]
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -220,6 +243,8 @@ class Matrix:
         for j, x in vec.items():
             col = cols.get(j)
             if col is None:
+                if not 1 <= j <= self.cols:
+                    raise ValueError(f"vector index {j} out of range")
                 continue
             for i, a in col.items():
                 acc[i] = acc.get(i, 0) + x * a
@@ -374,71 +399,51 @@ class _Echelon:
     the reduced echelon basis vector with pivot p.  A vector reduces as
     den v - sum_p v[p] row_p, which divides nothing.  A new pivot q of
     value c turns every row into (c row_p - row_p[q] v) / den, a division
-    that is exact by Sylvester's identity, and c becomes den.  With
-    history=True every row also carries its history, the combination of
-    the histories handed to add that it equals, reduced and updated the
-    same way.  Nothing is divided into a Fraction or RatFunc here: a
-    caller reads a value once, over den.
+    that is exact by Sylvester's identity, and c becomes den.  Indices
+    below 1 never pivot while a vector has an entry at 1 or above, so
+    _column_blocks carries each column's history there, at -j for column
+    j, through the same updates.  Nothing is divided into a Fraction or
+    RatFunc here: a caller reads a value once, over den.
     """
 
-    __slots__ = ("rows", "hist", "den")
+    __slots__ = ("rows", "den")
 
-    def __init__(self, rows=None, den=1, history=False):
+    def __init__(self, rows=None, den=1):
         self.rows = {} if rows is None else rows
         self.den = den
-        self.hist = {} if history else None
 
-    def reduce(self, vec, hist=None):
-        """(den vec - sum_p vec[p] row_p, the same of hist): vec reduced
-        against every row, zero exactly when vec is dependent (then hist
-        is a vanishing combination); vec itself while there is no row."""
+    def reduce(self, vec):
+        """den vec - sum_p vec[p] row_p: vec reduced against every row,
+        with no entry at a pivot; vec itself while there is no row."""
         rows = self.rows
         if not rows:
-            return vec, hist
-        d = self.den
-        hits = [(vec[p], p) for p in vec if p in rows]
-        out = _combine(d, vec, [(c, rows[p]) for c, p in hits])
-        if hist is not None:
-            hist = _combine(d, hist, [(c, self.hist[p]) for c, p in hits])
-        return out, hist
+            return vec
+        return _combine(self.den, vec,
+                        [(vec[p], rows[p]) for p in vec if p in rows])
 
-    def add(self, vec, hist=None):
-        """Make vec, reduced and nonzero, the row of its pivot; return the
-        pivot."""
+    def add(self, vec):
+        """Make vec, reduced and with a pivot, the row of its pivot."""
         q = max(vec)
         c = vec[q]
         div = _exact_division(self.den)
         for p, row in self.rows.items():
             bq = row.get(q)
             self.rows[p] = _combine(c, row, [(bq, vec)] if bq else (), div)
-            if hist is not None:
-                self.hist[p] = _combine(c, self.hist[p],
-                                        [(bq, hist)] if bq else (), div)
         self.rows[q] = vec
-        if hist is not None:
-            self.hist[q] = hist
         self.den = c
-        return q
-
-    def insert(self, vec):
-        """Add vec; return its new pivot, or None if it is dependent."""
-        vec, _ = self.reduce(vec)
-        return self.add(vec) if vec else None
 
     def basis(self, make):
-        """{p: row p over den}, each value read out by make(v, den); the
-        pivots, where v is den, as make(1, 1), which needs no gcd."""
+        """{p: row p over den} on the indices 1 and above, each value read
+        out by make(v, den); the pivots, where v is den, as make(1, 1),
+        which needs no gcd."""
         if not self.rows:
             return {}
         d = self.den
         one = 1 if type(d) is int else BiPoly.one()
         unit = make(one, one)
-        return {p: {t: unit if t == p else make(v, d) for t, v in row.items()}
+        return {p: {t: unit if t == p else make(v, d)
+                    for t, v in row.items() if t > 0}
                 for p, row in self.rows.items()}
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 def _combine(c, vec, terms, div=None):
@@ -480,12 +485,6 @@ def _components(vecs):
     return list(groups.values())
 
 
-def _numerators(vec):
-    """A vector times the lcm of its denominators: ints over Q, BiPolys
-    over Q(r, s)."""
-    return _column_form({(i, 1): v for i, v in vec.items() if v})[1].get(1, {})
-
-
 class Subspace:
     """Subspace of F^N with its canonical reduced echelon basis.
 
@@ -503,15 +502,15 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        """The span of the vectors, one echelon per component."""
-        den, cols = _column_form({(i, j): v for j, vec in enumerate(vectors)
-                                  for i, v in vec.items() if v})
-        make = _read_out(den)
+        """The span of the vectors: the image of the matrix whose columns
+        they are, read out of its column elimination."""
+        vectors = list(vectors)
+        mat = Matrix(ambient_dim, len(vectors), {
+            (i, j): v for j, vec in enumerate(vectors, 1)
+            for i, v in vec.items()})
+        make = _read_out(mat._form()[0])
         basis = {}
-        for block in _components(cols):
-            ech = _Echelon()
-            for k in block:
-                ech.insert(cols[k])
+        for ech, _ in _column_blocks(mat):
             basis.update(ech.basis(make))
         return cls._from_rows(ambient_dim, basis)
 
@@ -533,7 +532,7 @@ class Subspace:
         ent.update({(i, 0): v for i, v in vec.items() if v})
         den, cols = _column_form(ent)
         vec = cols.pop(0, {})
-        return not _Echelon(cols, den).reduce(vec)[0]
+        return not _Echelon(cols, den).reduce(vec)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -548,21 +547,21 @@ class Subspace:
 
 def _column_blocks(mat):
     """Eliminate the numerator columns of mat, left to right within each
-    component: yield per component its echelon, whose histories are over
-    the columns, and {j: h} for the columns j that reduced to zero, each
-    h the combination of numerator columns that vanishes."""
+    component, column j with its history as a unit at -j: yield per
+    component its echelon and {j: h} for the columns j that reduced to
+    zero, each h the combination of numerator columns that vanishes."""
     den, cols = mat._form()
     one = 1 if type(den) is int else BiPoly.one()
     vecs = {j: cols.get(j, {}) for j in range(1, mat.cols + 1)}
     for block in _components(vecs):
-        ech = _Echelon(history=True)
+        ech = _Echelon()
         dependent = {}
         for j in block:
-            vec, h = ech.reduce(vecs[j], {j: one})
-            if vec:
-                ech.add(vec, h)
+            vec = ech.reduce({**vecs[j], -j: one})
+            if max(vec) > 0:
+                ech.add(vec)
             else:
-                dependent[j] = h
+                dependent[j] = {-t: v for t, v in vec.items()}
         yield ech, dependent
 
 
@@ -607,8 +606,8 @@ def invert(mat, field):
 
     The echelon rows of an invertible block are its pivot value D times
     unit vectors.  So with N = den A the numerator columns (den the
-    matrix's denominator), the history of pivot p over D is column p of
-    N^-1, and den times it is column p of A^-1.
+    matrix's denominator), the history of row p, its negative part, over
+    D is column p of N^-1, and den times it is column p of A^-1.
     """
     if mat.rows != mat.cols:
         raise SingularInput("only square matrices can be inverted")
@@ -619,9 +618,9 @@ def invert(mat, field):
         if dependent:
             raise SingularInput("matrix is singular")
         d = ech.den
-        for p, h in ech.hist.items():
-            for t, v in h.items():
-                ent[(t, p)] = make(v if den == 1 else den * v, d)
+        ent.update({(-t, p): make(v if den == 1 else den * v, d)
+                    for p, row in ech.rows.items() for t, v in row.items()
+                    if t < 0})
     return Matrix(mat.rows, mat.cols, ent, _clean=True)
 
 

@@ -29,8 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import _RATIONAL, Matrix, Subspace, _kernel_blocks, _lift
-from .scalars import RatFunc
+from .linalg import Matrix, Subspace, _kernel_blocks
 
 
 class InvalidRank(ValueError):
@@ -108,30 +107,13 @@ def _compare(name, indices, lhs, rhs):
 
 def _compare_diagonal(name, indices, d, x, c, sides):
     """_compare(name, indices, *sides()) for a row d x = c x d, where
-    sides builds its two products.
-
-    When d is diagonal the row holds iff d_i x_ij = c x_ij d_j wherever
-    x_ij != 0, that is q d_i == p d_j on the numerators of d's column
-    form for c = p/q; a missing d_i is 0 and reads as None on both sides.
-    A row that holds forms no product.  A d that is not diagonal, or a
-    row that fails, goes to _compare on sides(), which finds the witness.
+    sides builds its two products.  A row that holds with d diagonal
+    is decided from d's diagonal (Matrix._diagonal_twist) and forms no
+    product; a d that is not diagonal, or a row that fails, goes to
+    _compare on sides(), which finds the witness.
     """
-    form = d._form()
-    if type(form[0]) is not int or type(c) not in _RATIONAL:
-        c = RatFunc._coerce(c)
-        form = _lift(form, (c.den, {}))[0]
-    cols = form[1]
-    diag = {j: col[j] for j, col in cols.items() if j in col}
-    # diagonal: every column holds its diagonal entry and nothing else
-    if len(diag) == len(cols) == sum(map(len, cols.values())):
-        p, q = c.numerator, c.denominator
-        left = right = diag
-        if p != q:
-            left = {i: q * v for i, v in diag.items()}
-            right = {j: p * v for j, v in diag.items()}
-        if not [i for j, col in x._form()[1].items() for i in col
-                if left.get(i) != right.get(j)]:
-            return CheckItem(name, indices, True)
+    if d._diagonal_twist(x, c):
+        return CheckItem(name, indices, True)
     return _compare(name, indices, *sides())
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .linalg import (Matrix, QuotientData, Subspace, _Echelon, _numerators,
-                     kernel_image_rank, tensor_index, tensor_tuple)
+from .linalg import (Matrix, QuotientData, Subspace, kernel_image_rank,
+                     tensor_index, tensor_tuple)
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    NonDiagonalAction, Representation, Weight, _compare,
                    _content, _generator_names, _tensor_generator,
@@ -287,7 +287,10 @@ def verify_fundamental(mod):
     coset of v_1 x ... x v_k is a highest weight vector with weight
     character of eps_1 + ... + eps_k, the dimension is C(n, k), weights
     are the k-subsets of {eps_i} each with multiplicity one, and the f_i
-    generate everything from the highest vector."""
+    generate everything from the highest vector: level by level, the span
+    of the span so far and the f_i images of its basis vectors with new
+    pivots, which span a complement of the previous span.  These are
+    weight vectors, so each span is eliminated one weight at a time."""
     n, k, field = mod.n, mod.k, mod.field
     if not 1 <= k <= n:
         raise InvalidPower("fundamental module verification needs 1 <= k <= n")
@@ -323,17 +326,13 @@ def verify_fundamental(mod):
     checks.append(CheckItem("weights are the k-subsets", (n, k),
                             set(spaces) == expected and mult_one
                             and len(spaces) == want, witness))
-    ech = _Echelon()
-    ech.insert(_numerators(hv))
-    frontier = [hv]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(1, n):
-                img = ind.f(i).apply(v)
-                if img and ech.insert(_numerators(img)) is not None:
-                    nxt.append(img)
-        frontier = nxt
+    span = Subspace.from_vectors(ind.dim, [hv])
+    new = span.basis
+    while new:
+        old = set(span.pivots)
+        span = Subspace.from_vectors(ind.dim, span.basis + [
+            ind.f(i).apply(v) for v in new for i in range(1, n)])
+        new = [v for p, v in zip(span.pivots, span.basis) if p not in old]
     checks.append(CheckItem("cyclic under the f action", (n, k),
-                            ech.rank == ind.dim))
+                            span.dim == ind.dim))
     return CheckReport(checks)

@@ -383,6 +383,19 @@ def test_verify_fundamental_fails_on_a_wrong_weight_action():
     assert row["lhs"] == {"1": "12"} and row["rhs"] == {"1": "6"}
 
 
+@pytest.mark.parametrize("field", [SampledField(2, 3), sym],
+                         ids=["sampled", "symbolic"])
+@pytest.mark.parametrize("n, k, i", [(3, 2, 1), (4, 2, 2), (4, 3, 3)])
+def test_verify_fundamental_fails_without_an_f(field, n, k, i):
+    # with f_i zero the f action no longer reaches every wedge basis
+    # vector; only the cyclic row can see it
+    mod = build_wedge_module(n, k, field)
+    mod.induced.gens[f"f{i}"] = mod.induced.f(i).scale(0)
+    report = verify_fundamental(mod)
+    assert [c.name for c in report.failures()] == [
+        "cyclic under the f action"]
+
+
 def test_verify_fundamental_bounds():
     # k > n builds the zero module, which is no fundamental module
     with pytest.raises(InvalidPower, match="1 <= k <= n"):
