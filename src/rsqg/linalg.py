@@ -13,20 +13,20 @@ over a monic BiPoly den over Q(r, s).  So the checks multiply and add
 integers or polynomials and reduce no fraction per entry; the entries of
 a result turn into Fractions or RatFuncs only when read.
 
-All elimination is one column pass, _column_blocks, over one kernel,
-_Echelon: fraction-free Gauss-Jordan elimination (Bareiss) on the
-numerator columns, whose rows stay fully reduced over one pivot value
-D, the determinant of the pivot minor, and divide only by D, exactly.
-The pass gives each connected component of the columns (two join when
-they share an index) its own echelon and D, and enters column j with a
-unit at index -j, so each row carries its history at negative indices.
-Subspace.from_vectors reads the image of the matrix whose columns are
-the vectors, kernel_image_rank also its kernel from the histories of
-the dependent columns, and invert the inverse from those of the rows.
-No Fraction or RatFunc is formed while eliminating: each entry of a
-result is read out once, as a numerator over D.  Quotients need no
-elimination: QuotientData only holds coset representatives and a
-projection, which rsqg.wedge builds directly from its gain graph.
+All elimination is one column pass, _column_blocks: fraction-free
+Gauss-Jordan elimination (Bareiss) on the numerator columns, each
+connected component of the columns (two join when they share an index)
+over its own pivot value D, with column j entered with a unit at index
+-j, so that each row carries its history at negative indices.  One
+read-out, _unit_rows, divides rows by D with unit pivots: the image in
+Subspace.from_vectors (so contains_vector asks whether one more vector
+raises the dimension) and in kernel_image_rank, and each kernel vector,
+the history of a dependent column.  invert reads the inverse from the
+histories of the rows.  No Fraction or RatFunc is formed while
+eliminating: each entry of a result is read out once, as a numerator
+over D.  Quotients need no elimination: QuotientData only holds coset
+representatives and a projection, which rsqg.wedge builds directly from
+its gain graph.
 """
 
 from __future__ import annotations
@@ -71,6 +71,17 @@ def pair_placements(n, pos, count):
     block = n * n * stride
     return [[range(o, o + block, stride) for o in range(a, a + stride)]
             for a in range(1, n**count + 1, block)]
+
+
+def padded_pair(mat, n, pos, count):
+    """I^(pos-1) x mat x I^(count-pos-1) on V^{x count}, for mat on V x V
+    and n = dim V: mat's numerator columns at each placement, over its den,
+    so that no entry of mat is read."""
+    den, cols = mat._form()
+    return Matrix._from_form(n**count, n**count, (den, {
+        place[j - 1]: {place[i - 1]: v for i, v in col.items()}
+        for block in pair_placements(n, pos, count)
+        for j, col in cols.items() for place in block}))
 
 
 class Matrix:
@@ -141,11 +152,24 @@ class Matrix:
         return ent
 
     def _form(self):
-        """(den, {j: {i: v}}) with entry (i, j) = v / den."""
-        q = self._q
-        if q is None:
-            q = self._q = _column_form(self._entries)
-        return q
+        """(den, {j: {i: v}}) with entry (i, j) = v / den: den the lcm of
+        the entry denominators, an int over Q and a monic BiPoly over
+        Q(r, s) (when some entry is not an int or a Fraction), and each v
+        the entry times den, an int or a BiPoly numerator."""
+        if self._q is not None:
+            return self._q
+        ent = self._entries
+        if not all(type(v) in _RATIONAL for v in ent.values()):
+            ent = {k: RatFunc._coerce(v) for k, v in ent.items()}
+        dens = {v.denominator for v in ent.values()}
+        den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
+        cof = {d: _lcm(den, d)[2] for d in dens}
+        cols = {}
+        for (i, j), v in ent.items():
+            m, p = cof[v.denominator], v.numerator
+            cols.setdefault(j, {})[i] = p if m == 1 else p * m
+        self._q = den, cols
+        return self._q
 
     def get(self, i, j):
         return self.entries.get((i, j))
@@ -262,23 +286,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _column_form(ent):
-    """(den, {j: {i: v}}) for a dict (i, j) -> nonzero scalar: den the
-    lcm of the entry denominators, an int over Q and a monic BiPoly over
-    Q(r, s) (when some entry is not an int or a Fraction), and each v the
-    entry times den, an int or a BiPoly numerator."""
-    if not all(type(v) in _RATIONAL for v in ent.values()):
-        ent = {k: RatFunc._coerce(v) for k, v in ent.items()}
-    dens = {v.denominator for v in ent.values()}
-    den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
-    cof = {d: _lcm(den, d)[2] for d in dens}
-    cols = {}
-    for (i, j), v in ent.items():
-        m, p = cof[v.denominator], v.numerator
-        cols.setdefault(j, {})[i] = p if m == 1 else p * m
-    return den, cols
-
-
 def _over(col, den):
     """The nonzero values v / den of a column as normalized Fractions over
     an int den, or canonical RatFuncs over a BiPoly den (a field value v,
@@ -389,61 +396,16 @@ def _read_out(den, field=None):
     return lambda v, d: field.from_fraction(Fraction(v, d))
 
 
-class _Echelon:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) with trailing pivots (pivot = max index).
-
-    Values are numerators: ints, or BiPolys over Q(r, s).  Every row is
-    fully reduced and carries the same pivot value den, the determinant
-    of the pivot minor (1 while there is no row), so row p over den is
-    the reduced echelon basis vector with pivot p.  A vector reduces as
-    den v - sum_p v[p] row_p, which divides nothing.  A new pivot q of
-    value c turns every row into (c row_p - row_p[q] v) / den, a division
-    that is exact by Sylvester's identity, and c becomes den.  Indices
-    below 1 never pivot while a vector has an entry at 1 or above, so
-    _column_blocks carries each column's history there, at -j for column
-    j, through the same updates.  Nothing is divided into a Fraction or
-    RatFunc here: a caller reads a value once, over den.
-    """
-
-    __slots__ = ("rows", "den")
-
-    def __init__(self, rows=None, den=1):
-        self.rows = {} if rows is None else rows
-        self.den = den
-
-    def reduce(self, vec):
-        """den vec - sum_p vec[p] row_p: vec reduced against every row,
-        with no entry at a pivot; vec itself while there is no row."""
-        rows = self.rows
-        if not rows:
-            return vec
-        return _combine(self.den, vec,
-                        [(vec[p], rows[p]) for p in vec if p in rows])
-
-    def add(self, vec):
-        """Make vec, reduced and with a pivot, the row of its pivot."""
-        q = max(vec)
-        c = vec[q]
-        div = _exact_division(self.den)
-        for p, row in self.rows.items():
-            bq = row.get(q)
-            self.rows[p] = _combine(c, row, [(bq, vec)] if bq else (), div)
-        self.rows[q] = vec
-        self.den = c
-
-    def basis(self, make):
-        """{p: row p over den} on the indices 1 and above, each value read
-        out by make(v, den); the pivots, where v is den, as make(1, 1),
-        which needs no gcd."""
-        if not self.rows:
-            return {}
-        d = self.den
-        one = 1 if type(d) is int else BiPoly.one()
-        unit = make(one, one)
-        return {p: {t: unit if t == p else make(v, d)
-                    for t, v in row.items() if t > 0}
-                for p, row in self.rows.items()}
+def _unit_rows(rows, den, make):
+    """{p: row p over den} on the indices 1 and above, for rows {p: row}
+    that are den at their pivot p, each value read out by make(v, den);
+    the pivots as make(1, 1), which needs no gcd.  den has the type of
+    the values even while there is no row (it is then 1)."""
+    one = 1 if type(den) is int else BiPoly.one()
+    unit = make(one, one)
+    return {p: {t: unit if t == p else make(v, den)
+                for t, v in row.items() if t > 0}
+            for p, row in rows.items()}
 
 
 def _combine(c, vec, terms, div=None):
@@ -510,8 +472,8 @@ class Subspace:
             for i, v in vec.items()})
         make = _read_out(mat._form()[0])
         basis = {}
-        for ech, _ in _column_blocks(mat):
-            basis.update(ech.basis(make))
+        for rows, den, _ in _column_blocks(mat):
+            basis.update(_unit_rows(rows, den, make))
         return cls._from_rows(ambient_dim, basis)
 
     @classmethod
@@ -525,14 +487,8 @@ class Subspace:
         return len(self.basis)
 
     def contains_vector(self, vec):
-        # the basis over one den (each row is den at its pivot) and vec
-        # as column 0, so that both have the same numerator type
-        ent = {(i, p): v for p, row in zip(self.pivots, self.basis)
-               for i, v in row.items()}
-        ent.update({(i, 0): v for i, v in vec.items() if v})
-        den, cols = _column_form(ent)
-        vec = cols.pop(0, {})
-        return not _Echelon(cols, den).reduce(vec)
+        return Subspace.from_vectors(self.ambient_dim,
+                                     self.basis + [vec]).dim == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -548,39 +504,52 @@ class Subspace:
 def _column_blocks(mat):
     """Eliminate the numerator columns of mat, left to right within each
     component, column j with its history as a unit at -j: yield per
-    component its echelon and {j: h} for the columns j that reduced to
-    zero, each h the combination of numerator columns that vanishes."""
+    component its rows {pivot: row}, their pivot value D and {j: h} for
+    the columns j that reduced to zero, each h the vanishing combination.
+
+    Bareiss (Math. Comp. 22, 1968) Gauss-Jordan with trailing pivots:
+    every row is fully reduced and D at its pivot p, so row p over D is
+    the reduced echelon basis vector with pivot p.  A column v reduces to
+    D v - sum_p v[p] row_p, dividing nothing; a new pivot q of value c
+    turns each row into (c row_p - row_p[q] v) / D, exact by Sylvester's
+    identity, and c becomes D.  History indices, below 1, never pivot
+    while a column has an entry at 1 or above.
+    """
     den, cols = mat._form()
     one = 1 if type(den) is int else BiPoly.one()
     vecs = {j: cols.get(j, {}) for j in range(1, mat.cols + 1)}
     for block in _components(vecs):
-        ech = _Echelon()
-        dependent = {}
+        rows, d, dependent = {}, one, {}
         for j in block:
-            vec = ech.reduce({**vecs[j], -j: one})
-            if max(vec) > 0:
-                ech.add(vec)
-            else:
+            vec = {**vecs[j], -j: one}
+            if rows:
+                vec = _combine(d, vec, [(vec[p], rows[p])
+                                        for p in vec if p in rows])
+            q = max(vec)
+            if q < 1:
                 dependent[j] = {-t: v for t, v in vec.items()}
-        yield ech, dependent
+                continue
+            c = vec[q]
+            div = _exact_division(d)
+            for p, row in rows.items():
+                bq = row.get(q)
+                rows[p] = _combine(c, row, [(bq, vec)] if bq else (), div)
+            rows[q], d = vec, c
+        yield rows, d, dependent
 
 
 def _kernel_blocks(mat, field):
-    """Eliminate the columns of mat once (_column_blocks) and yield per
-    component its echelon and its kernel basis rows {j: vector}.
+    """_column_blocks with each component's kernel basis {j: vector}.
 
-    Each dependent column j certifies a kernel vector, its history h_j:
-    the vanishing combination of the numerator columns, supported on j
-    and on earlier pivot columns.  So the h_j over h_j[j] already form
-    the reduced echelon basis of the kernel, and each is read out as a
-    one-row echelon with pivot value h_j[j], in the type of field.
+    The history h_j of dependent column j, the vanishing combination of
+    the numerator columns, is supported on j and on earlier pivot
+    columns, so the h_j over h_j[j] already form the reduced echelon
+    basis of the kernel; each is read out in the type of field.
     """
     make = _read_out(mat._form()[0], field)
-    for ech, dependent in _column_blocks(mat):
-        kernel = {}
-        for j, h in dependent.items():
-            kernel.update(_Echelon({j: h}, h[j]).basis(make))
-        yield ech, kernel
+    for rows, d, dependent in _column_blocks(mat):
+        yield rows, d, {j: _unit_rows({j: h}, h[j], make)[j]
+                        for j, h in dependent.items()}
 
 
 def kernel_image_rank(mat, field):
@@ -594,9 +563,9 @@ def kernel_image_rank(mat, field):
     """
     image, kernel = {}, {}
     make = _read_out(mat._form()[0])
-    for ech, rows in _kernel_blocks(mat, field):
-        image.update(ech.basis(make))
-        kernel.update(rows)
+    for rows, d, kernel_rows in _kernel_blocks(mat, field):
+        image.update(_unit_rows(rows, d, make))
+        kernel.update(kernel_rows)
     return (Subspace._from_rows(mat.cols, kernel),
             Subspace._from_rows(mat.rows, image), len(image))
 
@@ -614,12 +583,11 @@ def invert(mat, field):
     den = mat._form()[0]
     make = _read_out(den, field)
     ent = {}
-    for ech, dependent in _column_blocks(mat):
+    for rows, d, dependent in _column_blocks(mat):
         if dependent:
             raise SingularInput("matrix is singular")
-        d = ech.den
         ent.update({(-t, p): make(v if den == 1 else den * v, d)
-                    for p, row in ech.rows.items() for t, v in row.items()
+                    for p, row in rows.items() for t, v in row.items()
                     if t < 0})
     return Matrix(mat.rows, mat.cols, ent, _clean=True)
 

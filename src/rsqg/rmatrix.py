@@ -10,14 +10,14 @@ matrix is stored as the pair (A, B) with R(z) = A + z B; identities that
 are polynomial in the spectral parameters are certified by evaluating on
 a grid larger than the degree bounds, which is exact, not probabilistic.
 Each check takes the operator it certifies and reads the rank from it; on
-V^{x k} it copies R to each placement of V x V (linalg.pair_placements).
+V^{x k} it copies R to each placement of V x V (linalg.padded_pair).
 """
 
 from __future__ import annotations
 
 import math
 
-from .linalg import Matrix, invert, pair_placements, tensor_index
+from .linalg import Matrix, invert, padded_pair, tensor_index
 from .scalars import specialize_jimbo
 from .uqrs import (CheckItem, CheckReport, InvalidPower, InvalidRank,
                    _compare, _compare_diagonal)
@@ -157,11 +157,7 @@ def build_r_z(n, field):
 
 def _padded(mat, pos, count):
     """I^(pos-1) x mat x I^(count-pos-1) on V^{x count}, for mat on V x V."""
-    n = _factor_dim(mat)
-    ent = {(place[i - 1], place[j - 1]): v
-           for block in pair_placements(n, pos, count)
-           for (i, j), v in mat.entries.items() for place in block}
-    return Matrix(n**count, n**count, ent, _clean=True)
+    return padded_pair(mat, _factor_dim(mat), pos, count)
 
 
 def check_braid_constant(R):

@@ -482,7 +482,7 @@ def highest_weight_vectors(rep):
     stacked = {((i - 1) * dim + a, b): v for i in range(1, rep.n)
                for (a, b), v in rep.e(i).entries.items()}
     kernel = {}
-    for _, rows in _kernel_blocks(
+    for *_, rows in _kernel_blocks(
             Matrix((rep.n - 1) * dim, dim, stacked, _clean=True), rep.field):
         kernel.update(rows)
     weights = _verified_weights(rep)

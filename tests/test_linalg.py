@@ -195,6 +195,11 @@ def test_out_of_range_indices_raise():
         Subspace.from_vectors(3, [{5: 1}, {0: 2}])
     with pytest.raises(ValueError, match=r"\(0, 2\)"):
         Subspace.from_vectors(3, [{1: 1}, {0: 2}])
+    # and in a membership test, which asks for one more span
+    line = Subspace.from_vectors(3, [{1: 1}])
+    for bad in (5, 0):
+        with pytest.raises(ValueError, match=rf"\({bad}, 2\)"):
+            line.contains_vector({bad: 1})
     eye = Matrix.identity(2, Fraction(1))
     for bad in (5, 0, -1):
         with pytest.raises(ValueError, match=f"index {bad} "):
@@ -862,12 +867,12 @@ def _eliminate_inputs(rng, field):
 
 
 def _division_in_the_kernel_raises(monkeypatch):
-    """RatFunc.__init__ anywhere under an eliminating _Echelon method, and
-    Fraction arithmetic in rsqg.linalg under one, raise.  _Echelon.basis
-    is the read-out, and BiPoly coefficients may still be Fractions: their
-    arithmetic runs in rsqg.scalars."""
-    ech = linalg._Echelon
-    codes = {ech.reduce.__code__, ech.add.__code__}
+    """RatFunc.__init__ anywhere under the elimination pass
+    (linalg._column_blocks and its _combine), and Fraction arithmetic in
+    rsqg.linalg under it, raise.  The pass is a generator, so the
+    read-out of what it yields runs outside it, and BiPoly coefficients
+    may still be Fractions: their arithmetic runs in rsqg.scalars."""
+    codes = {linalg._column_blocks.__code__, linalg._combine.__code__}
 
     def in_echelon(frame):
         while frame is not None:
@@ -958,11 +963,11 @@ def test_component_split_changes_only_speed(monkeypatch):
                          ids=["sampled", "symbolic"])
 def test_kernel_image_rank_eliminates_once(monkeypatch, field):
     """kernel_image_rank, from_vectors and invert each run one column
-    elimination: each adds exactly rank rows, since each kernel vector is
-    read from the history of a dependent column and the inverse from
-    those of the pivot columns.  That kernel is already the canonical
-    basis that from_vectors gives for its vectors, pivots and value types
-    too."""
+    elimination: each adds exactly rank pivots (one _exact_division per
+    pivot), since each kernel vector is read from the history of a
+    dependent column and the inverse from those of the pivot columns.
+    That kernel is already the canonical basis that from_vectors gives
+    for its vectors, pivots and value types too."""
     rng = random.Random(29)
     mats = _eliminate_inputs(rng, field)
     if field.mode == "symbolic":
@@ -971,9 +976,9 @@ def test_kernel_image_rank_eliminates_once(monkeypatch, field):
     else:
         mats.append(random_sparse(rng, 5, 2, 0.8) * random_sparse(rng, 2, 6))
     adds = []
-    add = linalg._Echelon.add
-    monkeypatch.setattr(linalg._Echelon, "add",
-                        lambda self, vec: adds.append(1) or add(self, vec))
+    division = linalg._exact_division
+    monkeypatch.setattr(linalg, "_exact_division",
+                        lambda d: adds.append(1) or division(d))
 
     def count(run):
         adds.clear()
