@@ -180,10 +180,12 @@ def check_ybe_spectral(rz):
     {1, 2, 3, 5}^2 of distinct points proves the identity exactly.
     """
     grid = (1, 2, 3, 5)
-    # R(t) at positions 1 and 2 for t = zw; 1 is in the grid, so t = z, w
-    # too, and an integer t scales the entries of either field
-    rmat = {(pos, t): _padded(rz.at(t), pos, 3)
-            for pos in (1, 2) for t in {z * w for z in grid for w in grid}}
+    # R(t) for t = zw, evaluated once and padded at positions 1 and 2; 1
+    # is in the grid, so t = z, w too, and an integer t scales the entries
+    # of either field
+    ats = {t: rz.at(t) for t in {z * w for z in grid for w in grid}}
+    rmat = {(pos, t): _padded(rt, pos, 3)
+            for t, rt in ats.items() for pos in (1, 2)}
     return CheckReport(
         _compare("ybe", (z, w), rmat[1, z] * rmat[2, z * w] * rmat[1, w],
                  rmat[2, w] * rmat[1, z * w] * rmat[2, z])

@@ -9,7 +9,11 @@ adjacent pair of factors, each written once at its larger ambient index.
 
 Every relation vector has one or two nonzero coordinates, so the relation
 span is a gain graph on the n^k tensor indices (Zaslavsky, "Biased graphs
-I", 1989).  The relations arrive in increasing order of their larger
+I", 1989).  A swap of two unequal entries keeps the multiset of entries,
+and S2 kills v_i x v_i, so every tuple with a repeated entry is dead: the
+pass reads only the relations at the n!/(n-k)! tuples with distinct
+entries, and none at all for k > n; a square without S2's unit relations
+is refused.  The relations arrive in increasing order of their larger
 index, so one forward pass over them links each index straight under its
 root and builds the quotient without elimination.  The coset
 representatives are the smallest indices of the live components, which
@@ -24,7 +28,7 @@ certify: an R(z), or a QuotientModule with its n, k, field.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .linalg import (Matrix, QuotientData, Subspace, kernel_image_rank,
                      tensor_index, tensor_tuple)
@@ -43,21 +47,25 @@ _SQUARES = {"sym2": lambda field: (field.s, True),
             "alt2": lambda field: (-field.r, False)}
 
 
-def _insertion_vectors(n, k, field, square="sym2"):
+def _insertion_vectors(n, k, field, square="sym2", tuples=None):
     """A square, written once in _SQUARES as (c, diagonal), inserted at
     every adjacent pair of factors of V^{x k}: sparse vectors, each once at
-    its larger index b, b increasing.  Where factors (p, p + 1) of b hold
-    i > j, e_a + c e_b with a the index of b with the two swapped; where
-    they hold i == j, e_b if diagonal.  For S2, a repeated entry thus dies
-    at its sorted tuple, the first index of its component, and a live
-    tuple links straight under its root."""
+    its larger index b.  b runs over the index tuples in tuples (all of
+    them by default), which must come in increasing index order.  Where
+    factors (p, p + 1) of b hold i > j, e_a + c e_b with a the index of b
+    with the two swapped; where they hold i == j, e_b if diagonal.  For
+    S2, a repeated entry thus dies at its sorted tuple, the first index of
+    its component, and a live tuple links straight under its root."""
     if n < 1:
         raise InvalidRank("rank parameter n must be at least 1")
     c, diagonal = _SQUARES[square](field)
     one = field.one
+    if tuples is None:
+        tuples = product(range(1, n + 1), repeat=k)
     # swapping i > j on factors (p, p + 1) lowers the index by (i - j) drop[p]
     drop = [n**(k - 1 - p) - n**(k - 2 - p) for p in range(k - 1)]
-    for b, tup in enumerate(product(range(n), repeat=k), 1):
+    for tup in tuples:
+        b = tensor_index(tup, n)
         for p, step in enumerate(drop):
             i, j = tup[p], tup[p + 1]
             if i > j:
@@ -127,17 +135,30 @@ def _wedge_quotient(n, k, field):
     The live roots are the coset representatives; column t of the
     projection is gain[t] at the row of root[t].  A relation out of this
     order, or one joining two roots, is a WellDefinednessFailure.
+
+    Only the tuples with distinct entries are candidates, and only their
+    relations are read.  A swap of two unequal entries keeps the multiset
+    of entries, so no relation joins a distinct-entry tuple to one with a
+    repeated entry; and a tuple with a repeated entry sorts, swap by swap,
+    into one with two equal adjacent entries, which S2 kills by its unit
+    relation v_i x v_i.  So every other component is dead, and its column
+    of the projection is 0.  This holds only because S2 is diagonal, so a
+    square without the unit relations raises ValueError.
     """
     if n < 2:
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 0:
         raise InvalidPower("tensor power k must be nonnegative")
-    size = n**k
-    root = list(range(size + 1))
-    gain = [field.one] * (size + 1)
-    dead = bytearray(size + 1)
+    if not _SQUARES["sym2"](field)[1]:
+        raise ValueError("the distinct-entry pass needs the unit relations "
+                         "v_i x v_i of a diagonal square")
+    label = {tensor_index(tup, n): tup
+             for tup in permutations(range(1, n + 1), k)}
+    root = {t: t for t in label}
+    gain = dict.fromkeys(label, field.one)
+    dead = dict.fromkeys(label, 0)
     last = 0
-    for vec in _insertion_vectors(n, k, field):
+    for vec in _insertion_vectors(n, k, field, tuples=label.values()):
         if len(vec) == 1:
             (b,) = vec
         else:
@@ -162,13 +183,11 @@ def _wedge_quotient(n, k, field):
         elif not dead[r] and ca * gain[a] + cb * gain[b]:
             # a cycle: x_r = (-ca gain[a] / cb gain[b]) x_r
             dead[r] = 1
-    reps = tuple(t for t in range(1, size + 1)
-                 if root[t] == t and not dead[t])
+    reps = tuple(t for t, r in root.items() if r == t and not dead[t])
     pos = {t: i for i, t in enumerate(reps, 1)}
-    ent = {(pos[r], t): gain[t] for t in range(1, size + 1)
-           if (r := root[t]) in pos}
-    qd = QuotientData(reps, Matrix(len(reps), size, ent, _clean=True))
-    return qd, [tensor_tuple(t, n, k) for t in reps]
+    ent = {(pos[r], t): gain[t] for t, r in root.items() if r in pos}
+    qd = QuotientData(reps, Matrix(len(reps), n**k, ent, _clean=True))
+    return qd, [label[t] for t in reps]
 
 
 def _straighten(n, k, field, qd, labels, tup):

@@ -133,6 +133,23 @@ def test_r_checks_build_no_kronecker_product(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_ybe_evaluates_each_grid_product_once(monkeypatch, field):
+    # the products zw of the grid {1, 2, 3, 5}^2 take 10 distinct values,
+    # and one R(t) serves both positions
+    rz = build_r_z(2, field)
+    ts = []
+    at = SpectralRMatrix.at
+
+    def counted(self, t):
+        ts.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(SpectralRMatrix, "at", counted)
+    assert check_ybe_spectral(rz).ok
+    assert sorted(ts) == [1, 2, 3, 4, 5, 6, 9, 10, 15, 25]
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
 def test_group_like_rows_build_no_product(monkeypatch, field):
     # rows D X = c X D with D = w_i, w_i' or an inverse are decided from
     # the diagonal of D; only the rows of e_i and f_i multiply matrices

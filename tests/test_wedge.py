@@ -110,12 +110,14 @@ def test_wedge_dimension_against_dense_oracle(monkeypatch):
         assert n**k - rank == math.comb(n, k)
     # double the coefficient of v2 x v1 x v3 in the insertion of
     # v1 x v2 + s v2 x v1: the cycles through (1, 2, 3) become unbalanced,
-    # so a pass that skips the cycle-balance test gives 1 and 4
+    # so a pass that skips the cycle-balance test gives 1 and 4; the pass
+    # reads the distinct-entry relations only, and the oracle eliminates
+    # the whole corrupted stream
     real = wedge_mod._insertion_vectors
 
-    def corrupted(n, k, field):
+    def corrupted(n, k, field, square="sym2", tuples=None):
         bad = tensor_index((2, 1, 3), n)
-        for vec in real(n, k, field):
+        for vec in real(n, k, field, square, tuples):
             if vec.keys() == {tensor_index((1, 2, 3), n), bad}:
                 vec = {**vec, bad: 2 * vec[bad]}
             yield vec
@@ -156,30 +158,73 @@ def test_gain_graph_pass_needs_relations_in_index_order(monkeypatch):
     # the one forward pass links each index once, under the root of a
     # smaller one, so it checks the order it relies on: a shuffled stream,
     # or an in-order stream with one extra relation joining two live
-    # roots, raises and names the larger index of the offending relation
+    # roots, raises and names the larger index of the offending relation;
+    # the substituted streams are those the pass reads, over the tuples
+    # with distinct entries
     real = wedge_mod._insertion_vectors
 
     def quotient(n, k, vecs):
         with monkeypatch.context() as m:
             m.setattr(wedge_mod, "_insertion_vectors",
-                      lambda n, k, field: iter(vecs))
+                      lambda n, k, field, tuples: iter(vecs))
             return wedge_mod._wedge_quotient(n, k, smp)[0]
+
+    def distinct(n, k):
+        return list(real(n, k, smp, tuples=permutations(range(1, n + 1), k)))
 
     for n, k in ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3)):
         qd, _ = wedge_mod._wedge_quotient(n, k, smp)
         rank = dense_rank(list(real(n, k, smp)), n**k)
         assert len(qd.rep_indices) == n**k - rank, (n, k)
-    vecs = list(real(3, 3, smp))
+    vecs = distinct(3, 3)
     random.Random(5).shuffle(vecs)
-    with pytest.raises(WellDefinednessFailure, match="relation at index"):
+    with pytest.raises(WellDefinednessFailure,
+                       match="relation at index .* follows one at index"):
         quotient(3, 3, vecs)
     b = tensor_index((3, 2), 3)
-    vecs = list(real(3, 2, smp))
+    vecs = distinct(3, 2)
     at = max(i for i, vec in enumerate(vecs) if max(vec) == b) + 1
     vecs.insert(at, {tensor_index((1, 2), 3): smp.one, b: smp.one})
     with pytest.raises(WellDefinednessFailure,
                        match=f"relation at index {b} joins"):
         quotient(3, 2, vecs)
+
+
+def test_gain_graph_pass_reads_only_distinct_entry_relations(monkeypatch):
+    # every tuple with a repeated entry is dead without being read: for
+    # k > n the pass reads no relation at all, and for (4, 3) it reads
+    # exactly the relations of the full stream whose larger index has
+    # distinct entries, in the same order
+    real = wedge_mod._insertion_vectors
+    read = []
+
+    def counted(*args, **kwargs):
+        for vec in real(*args, **kwargs):
+            read.append(vec)
+            yield vec
+
+    monkeypatch.setattr(wedge_mod, "_insertion_vectors", counted)
+    for n, k in ((6, 7), (4, 5)):
+        read.clear()
+        assert wedge_dimension(n, k, smp) == 0
+        assert read == [], (n, k)
+    read.clear()
+    assert wedge_dimension(4, 3, smp) == 4
+    distinct = {tensor_index(t, 4) for t in permutations(range(1, 5), 3)}
+    want = [vec for vec in real(4, 3, smp) if max(vec) in distinct]
+    assert 0 < len(want) < len(list(real(4, 3, smp)))
+    assert read == want
+
+
+def test_a_square_without_unit_relations_is_refused(monkeypatch):
+    # the distinct-entry shortcut rests on the unit relations v_i x v_i of
+    # S2; with them taken out the quotient raises instead of reading the
+    # repeated-entry tuples as dead
+    c = wedge_mod._SQUARES["sym2"]
+    monkeypatch.setitem(wedge_mod._SQUARES, "sym2",
+                        lambda field: (c(field)[0], False))
+    with pytest.raises(ValueError, match="unit relations"):
+        wedge_mod._wedge_quotient(3, 2, smp)
 
 
 @pytest.mark.parametrize("field", [SampledField(2, 3), SampledField(4, 2),
@@ -189,7 +234,9 @@ def test_gain_graph_pass_needs_relations_in_index_order(monkeypatch):
 def test_gain_graph_quotient_matches_elimination(field):
     # the representatives are the non-pivot coordinates of the trailing-
     # pivot echelon form of the relations, and the projection kills them
-    for n, k in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+    # (the independent reference: the full S2 stream, every n^k tuple)
+    for n, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (3, 5),
+                 (4, 2), (4, 3)):
         sub = Subspace.from_vectors(
             n**k, wedge_mod._insertion_vectors(n, k, field))
         qd, _ = wedge_mod._wedge_quotient(n, k, field)
