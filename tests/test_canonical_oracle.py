@@ -10,6 +10,9 @@ specialization) and in s alone share a linear factor and a random one.
 Other inputs reach the gcd's certificate by specialization: coprime pairs,
 pairs that share only a monomial, and pairs sharing h = rs - r - s + 2,
 which is 1 at s = 1 and at r = 1, where its leading coefficients vanish.
+
+The one-parameter specialization r -> q, s -> 1/q (q written as r) is
+checked the same way, against sympy's cancel of f(r, 1/r).
 """
 
 import random
@@ -18,7 +21,8 @@ from fractions import Fraction
 import pytest
 
 import rsqg.scalars as scalars
-from rsqg import BiPoly, RatFunc
+from rsqg import (BiPoly, DenominatorVanishes, RatFunc, SymbolicField,
+                  build_r_z, specialize_jimbo)
 
 sympy = pytest.importorskip("sympy")
 
@@ -76,7 +80,11 @@ def _terms(poly, lc):
 
 
 def _oracle(num, den):
-    n, d = sympy.fraction(sympy.cancel(_to_sympy(num) / _to_sympy(den)))
+    return _normalized(_to_sympy(num) / _to_sympy(den))
+
+
+def _normalized(expr):
+    n, d = sympy.fraction(sympy.cancel(expr))
     n, d = sympy.Poly(n, R, S, domain="QQ"), sympy.Poly(d, R, S, domain="QQ")
     lc = d.LC(order="grlex")
     lc = Fraction(int(lc.p), int(lc.q))
@@ -129,3 +137,46 @@ def _r_free_gcd_at_any_point(f, g):
 def test_oracle_catches_a_certificate_at_degree_dropping_points(monkeypatch):
     monkeypatch.setattr(scalars, "_r_free_gcd", _r_free_gcd_at_any_point)
     assert _mismatches(_certificate_inputs(10, 8))
+
+
+def _jimbo_oracle(f):
+    """f(r, 1/r) normalized as _oracle does, or None where the
+    denominator vanishes there."""
+    den = _to_sympy(f.den).subs(S, 1 / R)
+    if sympy.cancel(den) == 0:
+        return None
+    return _normalized(_to_sympy(f.num).subs(S, 1 / R) / den)
+
+
+def _jimbo_mismatches(values):
+    bad = []
+    for f in values:
+        want = _jimbo_oracle(f)
+        try:
+            got = specialize_jimbo(f)
+        except DenominatorVanishes:
+            got = None
+        if want is not None and got is not None:
+            got = (got.num.terms, got.den.terms)
+        if got != want:
+            bad.append(f)
+    return bad
+
+
+def test_jimbo_specialization_matches_sympy_substitution():
+    rs_minus_1 = BiPoly.term(1, 1) - BiPoly.one()
+    rng = random.Random(11)
+    values = [RatFunc(num, den) for num, den in _inputs(12, 12)]
+    values += [RatFunc(rs_minus_1 * _random_poly(rng), _random_poly(rng))
+               for _ in range(4)]
+    field = SymbolicField()
+    for n in (2, 3, 4):
+        rz = build_r_z(n, field)
+        values += list(rz.A.entries.values()) + list(rz.B.entries.values())
+    assert _jimbo_mismatches(values) == []
+    # a numerator that is a multiple of rs - 1 maps to 0
+    assert not specialize_jimbo(values[12])
+    # a denominator with that factor vanishes under the substitution
+    with pytest.raises(DenominatorVanishes):
+        specialize_jimbo(RatFunc(_random_poly(rng),
+                                 rs_minus_1 * _random_poly(rng)))

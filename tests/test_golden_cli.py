@@ -33,6 +33,10 @@ COMMANDS = {
     "weights_n3_k1": "weights -n 3 -k 1",
     "weights_n3_k3_symbolic": "weights -n 3 -k 3 --symbolic",
     "weights_n4_k4_r1_2_s3": "weights -n 4 -k 4 --r 1/2 --s 3",
+    "rep_natural_n3": "rep natural -n 3",
+    "rmatrix_n3": "rmatrix -n 3",
+    "rmatrix_n3_z2_3": "rmatrix -n 3 -z 2/3",
+    "rmatrix_n3_zm2_7_symbolic": "rmatrix -n 3 -z -2/7 --symbolic",
     "rmatrix_n3_spectral_symbolic": "rmatrix -n 3 --spectral --symbolic",
     "verify_prop41_n3_symbolic": "verify prop41 -n 3 --symbolic",
     "verify_ybe_n2": "verify ybe -n 2",

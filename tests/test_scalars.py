@@ -147,6 +147,16 @@ def test_b_gcd_certifies_past_an_unlucky_first_point(monkeypatch):
     assert scalars._b_gcd(f.terms, g.terms) == {(0, 0): 1}
 
 
+@pytest.mark.parametrize("f, g", [
+    (R + ONE, R - ONE),  # a constant remainder is left
+    (S, R),              # no multiple of r reaches s
+])
+def test_b_divexact_refuses_an_inexact_division(f, g):
+    with pytest.raises(ArithmeticError, match="inexact"):
+        scalars._b_divexact(f.terms, g.terms)
+    assert scalars._b_divexact((f * g).terms, g.terms) == f.terms
+
+
 def test_leading_monomial_is_the_graded_lex_maximum():
     rng_lm = random.Random(3)
     for _ in range(200):

@@ -356,6 +356,16 @@ def test_highest_weight_vectors_natural():
         assert w == Weight((1,) + (0,) * (n - 1))
 
 
+def test_highest_weight_vectors_rejects_an_inhomogeneous_kernel():
+    # with e1 = E12 - E11 the kernel vector v1 + v2 mixes two weights
+    rep = natural_rep(2, smp)
+    gens = dict(rep.gens, e1=Matrix(2, 2, {(1, 2): smp.one,
+                                           (1, 1): -smp.one}))
+    broken = Representation(2, 2, gens, smp, rep.weights)
+    with pytest.raises(NonDiagonalAction, match="not homogeneous"):
+        highest_weight_vectors(broken)
+
+
 def test_highest_weight_vectors_tensor_square():
     rep2 = tensor_power_rep(2, 2, sym)
     hw = highest_weight_vectors(rep2)

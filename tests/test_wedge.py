@@ -443,6 +443,13 @@ def test_verify_fundamental_fails_without_an_f(field, n, k, i):
         "cyclic under the f action"]
 
 
+def test_verify_fundamental_fails_without_the_highest_label():
+    mod = build_wedge_module(3, 2, smp)
+    mod.labels = [lab[::-1] for lab in mod.labels]
+    report = verify_fundamental(mod)
+    assert [c.name for c in report.failures()] == ["highest label present"]
+
+
 def test_verify_fundamental_bounds():
     # k > n builds the zero module, which is no fundamental module
     with pytest.raises(InvalidPower, match="1 <= k <= n"):
@@ -459,6 +466,36 @@ def test_well_definedness_guard_fires_on_corruption(monkeypatch):
         build_wedge_module(2, 2, smp)
     # the message names the generator and the ambient basis tuple
     assert "e1" in str(info.value) and "(2, 1)" in str(info.value)
+
+
+def _scale_ambient_e1(monkeypatch):
+    # 2 e1 preserves the relations, so only the relation check sees it
+    real = wedge_mod._tensor_generator
+
+    def scaled(field, n, k, name):
+        mat = real(field, n, k, name)
+        return mat.scale(2 * field.one) if name == "e1" else mat
+
+    monkeypatch.setattr(wedge_mod, "_tensor_generator", scaled)
+
+
+@pytest.mark.parametrize("field", [smp, sym], ids=["sampled", "symbolic"])
+def test_induced_relation_check_fires_on_a_scaled_generator(monkeypatch,
+                                                            field):
+    _scale_ambient_e1(monkeypatch)
+    with pytest.raises(WellDefinednessFailure,
+                       match=r"^induced matrices at \(n, k\) = \(3, 2\) "
+                             r"violate .*R4"):
+        build_wedge_module(3, 2, field)
+
+
+def test_cli_wedge_exits_3_on_a_scaled_generator(monkeypatch, capsys):
+    import rsqg.cli as cli
+
+    _scale_ambient_e1(monkeypatch)
+    assert cli.main(["wedge", "-n", "3", "-k", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "violate" in err
 
 
 @pytest.mark.parametrize("field", [smp, sym], ids=["sampled", "symbolic"])
