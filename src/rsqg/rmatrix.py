@@ -44,8 +44,7 @@ def build_r(n, field):
             ji = tensor_index((j, i), n)
             ent[(ji, ij)] = r
             ent[(ij, ji)] = sinv
-            if diag:
-                ent[(ji, ji)] = diag
+            ent[(ji, ji)] = diag
     return Matrix(n * n, n * n, ent, _clean=True)
 
 
@@ -122,9 +121,8 @@ def _direct_r_z(n, field):
             bent[(ji, ij)] = -r
             aent[(ij, ji)] = sinv
             bent[(ij, ji)] = -sinv
-            if diag:
-                aent[(ji, ji)] = diag
-                bent[(ij, ij)] = diag
+            aent[(ji, ji)] = diag
+            bent[(ij, ij)] = diag
     return SpectralRMatrix(n, Matrix(n * n, n * n, aent, _clean=True),
                            Matrix(n * n, n * n, bent, _clean=True), field)
 

@@ -17,8 +17,8 @@ Sampled computations substitute fixed rationals r0, s0 subject to genericity
 constraints, and all scalars are plain Fractions.
 
 The substitution r -> q, s -> 1/q, for comparison with the one-parameter
-theory, lands in the s-free part Q(r) of Q(r, s), with q written as r; the
-same RatFunc reduction and canonical form serve it.
+theory, is an evaluation at (r, 1/r) in Q(r, s) itself: it lands in the
+s-free part Q(r), with q written as r, in the same canonical form.
 """
 
 from __future__ import annotations
@@ -167,8 +167,6 @@ def _z_gcd(f, g):
 def _z_divexact(f, g):
     """f / g in Z[x] for a primitive g dividing f (Gauss's lemma makes the
     quotient integral, so every step divides exactly)."""
-    if g == [1]:
-        return f
     r = list(f)
     dg = len(g) - 1
     lg = g[-1]
@@ -522,14 +520,13 @@ class RatFunc:
     so two equal field elements are structurally identical.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
             den = BiPoly.one()
         if not den.terms:
             raise DivisionByZero("zero denominator in Q(r, s)")
-        self._hash = None
         if not num.terms:
             self.num = BiPoly.zero()
             self.den = BiPoly.one()
@@ -551,7 +548,7 @@ class RatFunc:
     @classmethod
     def _canonical(cls, num, den):
         f = cls.__new__(cls)
-        f.num, f.den, f._hash = num, den, None
+        f.num, f.den = num, den
         return f
 
     @classmethod
@@ -581,10 +578,8 @@ class RatFunc:
         return self.num.terms == o.num.terms and self.den.terms == o.den.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.num.terms.items()),
-                               frozenset(self.den.terms.items())))
-        return self._hash
+        return hash((frozenset(self.num.terms.items()),
+                     frozenset(self.den.terms.items())))
 
     def __neg__(self):
         return RatFunc._canonical(-self.num, self.den)
@@ -672,31 +667,18 @@ class RatFunc:
 def specialize_jimbo(f):
     """Substitute r -> q, s -> q^{-1} into f in Q(r, s).
 
-    q is written as r, so the result is a RatFunc whose terms all have
-    s-degree 0.  The substituted numerator and denominator are Laurent
-    polynomials in q; both are shifted by a common power of q to clear
-    negative exponents and then reduced.  Raises DenominatorVanishes if the
-    denominator collapses to zero identically (e.g. any multiple of rs - 1).
+    q is written as r: the numerator and denominator are evaluated at
+    (r, r^{-1}) in Q(r, s) itself and divided, so the result is a RatFunc
+    whose terms all have s-degree 0.  Raises DenominatorVanishes if the
+    denominator evaluates to 0 (e.g. any multiple of rs - 1).
     """
-    def laurent(terms):
-        out = {}
-        for (a, b), c in terms.items():
-            d = a - b
-            v = out.get(d, 0) + c
-            if v:
-                out[d] = v
-            else:
-                out.pop(d, None)
-        return out
-
-    nl = laurent(f.num.terms)
-    dl = laurent(f.den.terms)
-    if not dl:
+    q = RatFunc(BiPoly.term(1, 0))
+    qinv = q**-1
+    den = f.den.evaluate(q, qinv)
+    if not den:
         raise DenominatorVanishes(
             f"denominator {f.den} vanishes identically under r=q, s=1/q")
-    shift = -min(list(nl) + list(dl) + [0])
-    return RatFunc(BiPoly._raw({(d + shift, 0): c for d, c in nl.items()}),
-                   BiPoly._raw({(d + shift, 0): c for d, c in dl.items()}))
+    return f.num.evaluate(q, qinv) / den
 
 
 # ---------------------------------------------------------------------------

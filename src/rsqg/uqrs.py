@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .linalg import Matrix, Subspace, _kernel_blocks
@@ -117,28 +118,19 @@ def _compare_diagonal(name, indices, d, x, c, sides):
     return _compare(name, indices, *sides())
 
 
-_GEN_FAMILIES = ("e", "f", "w", "wp", "w_inv", "wp_inv")
-
-
-def _gen_name(family, i):
-    if family.endswith("_inv"):
-        return f"{family[:-4]}{i}_inv"
-    return f"{family}{i}"
+@cache
+def _generators(n):
+    """{key: (family, index, inverted)} for rank n, in the fixed order of
+    the JSON output; shared, so never modified."""
+    return {f"{fam}{i}" + "_inv" * inv: (fam, i, inv)
+            for fam, inv in (("e", False), ("f", False), ("w", False),
+                             ("wp", False), ("w", True), ("wp", True))
+            for i in range(1, n)}
 
 
 def _generator_names(n):
     """Generator keys for rank n in the fixed order of the JSON output."""
-    return [_gen_name(fam, i) for fam in _GEN_FAMILIES for i in range(1, n)]
-
-
-def _parse_gen(name, n):
-    """Split a generator key of rank n into (family, index, inverted)."""
-    if name not in _generator_names(n):
-        raise ValueError(f"unknown generator {name!r}")
-    inv = name.endswith("_inv")
-    base = name[:-4] if inv else name
-    fam = "wp" if base.startswith("wp") else base[:1]
-    return fam, int(base[len(fam):]), inv
+    return list(_generators(n))
 
 
 class Representation:
@@ -228,7 +220,7 @@ class _TensorGenerators(Mapping):
         self._n = n
         self._k = k
         self._field = field
-        self._built = dict.fromkeys(_generator_names(n))
+        self._built = dict.fromkeys(_generators(n))
 
     def __getitem__(self, name):
         mat = self._built[name]
@@ -253,7 +245,7 @@ def _tensor_generator(field, n, k, name):
     # term (pos, t, c) of column col replaces factor pos of the col-th
     # tuple by v_t, which moves the index by (t - tup[pos]) times the
     # place value n^(k-1-pos) of that factor
-    fam, i, inv = _parse_gen(name, n)
+    fam, i, inv = _generators(n)[name]
     strides = [n ** (k - 1 - pos) for pos in range(k)]
     ent = {}
     for col, tup in enumerate(product(range(1, n + 1), repeat=k), 1):
@@ -267,7 +259,7 @@ def _action_terms(field, fam, i, inv, tup):
     """Terms (pos, t, c) of a generator's action on one monomial
     v_{t1} x ... x v_{tk}: factor pos becomes v_t with coefficient c, and
     pos is None for a group-like, which scales the monomial by c.  fam is
-    one of e, f, w, wp, as _parse_gen returns it.
+    one of e, f, w, wp, as _generators gives it.
 
     With a, b the numbers of factors equal to i, i+1: w_i acts by r^a s^b,
     w_i' by r^b s^a, and the inverses negate both exponents.  e_i turns
@@ -306,7 +298,9 @@ def _action_terms(field, fam, i, inv, tup):
 def tensor_action(field, n, name, tup):
     """Action of a generator on one monomial v_{t1} x ... x v_{tk}, as a
     dict tuple -> coefficient (the closed form of _action_terms)."""
-    fam, i, inv = _parse_gen(name, n)
+    if name not in _generators(n):
+        raise ValueError(f"unknown generator {name!r}")
+    fam, i, inv = _generators(n)[name]
     if any(t < 1 or t > n for t in tup):
         raise ValueError("tuple entries must lie in 1..n")
     out = {}
@@ -338,9 +332,6 @@ def check_defining_relations(rep):
         checks.append(_compare("R1:inv-w", (i,), rep.w(i) * rep.w_inv(i), ident))
         checks.append(_compare("R1:inv-wp", (i,), rep.wp(i) * rep.wp_inv(i), ident))
 
-    def commute(name, ij, d, x):
-        return _compare_diagonal(name, ij, d, x, 1, lambda: (d * x, x * d))
-
     def twisted(name, ij, d, x, c):
         # d x = c x d
         return _compare_diagonal(name, ij, d, x, c,
@@ -349,10 +340,12 @@ def check_defining_relations(rep):
     for i in range(1, n):
         for j in range(1, n):
             if i < j:
-                checks.append(commute("R1:comm-ww", (i, j), rep.w(i), rep.w(j)))
-                checks.append(commute("R1:comm-wpwp", (i, j),
-                                      rep.wp(i), rep.wp(j)))
-            checks.append(commute("R1:comm-wwp", (i, j), rep.w(i), rep.wp(j)))
+                checks.append(twisted("R1:comm-ww", (i, j),
+                                      rep.w(i), rep.w(j), 1))
+                checks.append(twisted("R1:comm-wpwp", (i, j),
+                                      rep.wp(i), rep.wp(j), 1))
+            checks.append(twisted("R1:comm-wwp", (i, j),
+                                  rep.w(i), rep.wp(j), 1))
     for i in range(1, n):
         for j in range(1, n):
             a = pairing(i, j)

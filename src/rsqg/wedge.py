@@ -127,11 +127,11 @@ def _wedge_quotient(n, k, field):
     """Quotient data and wedge labels of V^{x k}, in one forward pass.
 
     x_t = gain[t] x_root[t] modulo the relations, and every live root is
-    the smallest index of its component.  The relations arrive by larger
-    index b, so nothing lies under b yet and every smaller index points
-    straight at its root: b's first two-entry relation links b under the
-    root of its other end, a later one closes a cycle, which kills the
-    root unless its gain is 1, and a one-entry relation kills b's root.
+    the smallest index of its component.  Every relation read is
+    {a: 1, b: c} with a < b, and they arrive by larger index b, so nothing
+    lies under b yet and every smaller index points straight at its root:
+    b's first relation links b under the root of a, and a later one
+    closes a cycle, which kills the root unless its gain is 1.
     The live roots are the coset representatives; column t of the
     projection is gain[t] at the row of root[t].  A relation out of this
     order, or one joining two roots, is a WellDefinednessFailure.
@@ -159,22 +159,14 @@ def _wedge_quotient(n, k, field):
     dead = dict.fromkeys(label, 0)
     last = 0
     for vec in _insertion_vectors(n, k, field, tuples=label.values()):
-        if len(vec) == 1:
-            (b,) = vec
-        else:
-            (a, ca), (b, cb) = vec.items()
-            if a > b:
-                a, ca, b, cb = b, cb, a, ca
+        (a, ca), (b, cb) = vec.items()
         if b < last:
             raise WellDefinednessFailure(
                 f"relation at index {b} follows one at index {last}")
         last, r = b, root[b]
-        if len(vec) == 1:
-            dead[r] = 1
-        elif r == b:
+        if r == b:
             # b's first link; gains inside dead components are never read
             r = root[b] = root[a]
-            dead[r] |= dead[b]
             if not dead[r]:
                 gain[b] = -(ca * gain[a]) / cb
         elif r != root[a]:
