@@ -8,10 +8,15 @@ equal subspaces have equal bases.
 
 Matrix arithmetic runs on one column form over every field: columns
 {j: {i: v}} over the lcm den of the entry denominators, with int values
-over a positive int den over Q (the sampled field) and BiPoly values
-over a monic BiPoly den over Q(r, s).  So the checks multiply and add
-integers or polynomials and reduce no fraction per entry; the entries of
-a result turn into Fractions or RatFuncs only when read.
+over a positive int den over Q (the sampled field) and, over Q(r, s),
+BiPoly values over a BiPoly den, all with int coefficients and den with
+a positive leading coefficient: den is d L, L the lcm of the primitive
+parts of the entry denominators and d a positive int that clears the
+numerators' coefficients.  So the checks multiply and add integers or
+integer polynomials and reduce no fraction per entry, and the exact
+divisions of elimination stay over the integers (Gauss's lemma); the
+entries of a result turn into Fractions or RatFuncs (canonical, with a
+monic den, as ever) only when read.
 
 All elimination is one column pass, _column_blocks: fraction-free
 Gauss-Jordan elimination (Bareiss) on the numerator columns, each
@@ -33,9 +38,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
 from .scalars import (_ONE_TERMS, BiPoly, RatFunc, _b_divexact, _b_gcd,
-                      _div, _leading)
+                      _fractional, _leading)
 
 _RATIONAL = frozenset((int, Fraction))
 
@@ -91,8 +97,10 @@ class Matrix:
     (i, j) = v / den with no zero v, built from the entries on first use
     and cached in _q, since a Matrix is never mutated.  Over Q the values
     are ints over the positive lcm of the entry denominators; over Q(r, s)
-    they are BiPoly numerators over the monic BiPoly lcm of the entry
-    denominators, so that products and sums reduce no fraction.  A result
+    they are BiPoly numerators over a BiPoly lcm of the entry
+    denominators, with int coefficients only and a positive leading
+    coefficient (not monic, as a RatFunc den is), so that products and
+    sums reduce no fraction and form no Fraction coefficient.  A result
     of arithmetic holds only _q until entries is read.
     """
 
@@ -153,21 +161,38 @@ class Matrix:
 
     def _form(self):
         """(den, {j: {i: v}}) with entry (i, j) = v / den: den the lcm of
-        the entry denominators, an int over Q and a monic BiPoly over
-        Q(r, s) (when some entry is not an int or a Fraction), and each v
-        the entry times den, an int or a BiPoly numerator."""
+        the entry denominators and each v the entry times den.  Over Q den
+        is a positive int and the values are ints.  Over Q(r, s) (when
+        some entry is not an int or a Fraction) each entry enters as its
+        integral pair (_integral_pair), so den is d L, L the lcm of the
+        primitive parts of the entry denominators and d a positive int
+        that clears every numerator coefficient, and den and every v
+        are BiPolys with int coefficients, den with a positive leading
+        coefficient.  Each entry's denominator is read once."""
         if self._q is not None:
             return self._q
         ent = self._entries
-        if not all(type(v) in _RATIONAL for v in ent.values()):
-            ent = {k: RatFunc._coerce(v) for k, v in ent.items()}
-        dens = {v.denominator for v in ent.values()}
-        den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
-        cof = {d: _lcm(den, d)[2] for d in dens}
-        cols = {}
+        if all(type(v) in _RATIONAL for v in ent.values()):
+            dens = {v.denominator for v in ent.values()}
+            den = reduce(lambda a, b: _lcm(a, b)[0], dens) if dens else 1
+            cof = {d: _lcm(den, d)[2] for d in dens}
+            cols = {}
+            for (i, j), v in ent.items():
+                m, p = cof[v.denominator], v.numerator
+                cols.setdefault(j, {})[i] = p if m == 1 else p * m
+            self._q = den, cols
+            return self._q
+        cols, keys = {}, {}
         for (i, j), v in ent.items():
-            m, p = cof[v.denominator], v.numerator
-            cols.setdefault(j, {})[i] = p if m == 1 else p * m
+            p, q = _integral_pair(v)
+            cols.setdefault(j, {})[i] = p
+            keys.setdefault(q, []).append((i, j))
+        den = reduce(lambda a, b: _lcm(a, b)[0], keys)
+        for q, at in keys.items():
+            m = _lcm(den, q)[2]
+            if m != 1:
+                for i, j in at:
+                    cols[j][i] *= m
         self._q = den, cols
         return self._q
 
@@ -206,29 +231,28 @@ class Matrix:
     def scale(self, c):
         if not c:
             return Matrix.zero(self.rows, self.cols)
-        (den, cols), c = self._with_scalar(c)
+        (den, cols), p, q = self._with_scalar(c)
         return Matrix._from_form(self.rows, self.cols, (
-            den * c.denominator, _times(cols, c.numerator)))
+            den * q, _times(cols, p)))
 
     def _with_scalar(self, c):
-        """(column form, c), both lifted over Q(r, s) unless both are
-        over Q."""
-        q = self._form()
-        if type(q[0]) is not int or type(c) not in _RATIONAL:
-            c = RatFunc._coerce(c)
-            q = _lift(q, (c.den, {}))[0]
-        return q, c
+        """(column form, p, q) with c = p / q: ints over Q, and over
+        Q(r, s), with the form lifted, c's integral pair."""
+        form = self._form()
+        if type(form[0]) is int and type(c) in _RATIONAL:
+            return form, c.numerator, c.denominator
+        p, q = _integral_pair(c)
+        return _lift(form, (q, {}))[0], p, q
 
     def _diagonal_twist(self, x, c):
         """Whether self is diagonal and self x = c x self, with no product:
         for c = p/q, q d_i == p d_j on self's diagonal numerators d where
         x_ij != 0 (a missing d_i is 0 and reads as None on both sides)."""
-        (_, cols), c = self._with_scalar(c)
+        (_, cols), p, q = self._with_scalar(c)
         diag = {j: col[j] for j, col in cols.items() if j in col}
         # diagonal: every column holds its diagonal entry and nothing else
         if not len(diag) == len(cols) == sum(map(len, cols.values())):
             return False
-        p, q = c.numerator, c.denominator
         left = right = diag
         if p != q:
             left = {i: q * v for i, v in diag.items()}
@@ -295,19 +319,46 @@ def _over(col, den):
             else v if den == 1 else v / den for i, v in col.items() if v}
 
 
+def _integral_pair(x):
+    """(p, q) with x = p / q for a Q(r, s) value x: BiPolys with int
+    coefficients, q with a positive leading coefficient.  The canonical
+    RatFunc has a monic den; both parts are multiplied by the least
+    positive int k that clears their coefficients (k = 1 when they are
+    integral already, and the pair is x's own)."""
+    x = RatFunc._coerce(x)
+    p, q = x.num, x.den
+    pt, qt = p.terms, q.terms
+    if not (_fractional(pt) or _fractional(qt)):
+        return p, q
+    k = lcm(*[c.denominator for t in (pt, qt) for c in t.values()])
+    return tuple(BiPoly._raw({m: c.numerator * (k // c.denominator)
+                              for m, c in t.items()}) for t in (pt, qt))
+
+
 def _lcm(da, db):
-    """(l, l / da, l / db) for the lcm l of two positive ints or two monic
-    BiPolys; l is monic too, and a cofactor 1 is the int 1."""
+    """(l, l / da, l / db) for the lcm l of two positive ints, or of two
+    BiPolys with int coefficients and positive leading coefficients; l
+    has the same kind, and a cofactor 1 is the int 1.
+
+    Over Z[r, s], da = c_a P_a with c_a its integer content and P_a
+    primitive, and the same for db.  With g the primitive gcd of P_a and
+    P_b and h = gcd(c_a, c_b), the gcd is h g, and the cofactors db / (h g)
+    and da / (h g) are integral (Gauss's lemma), so the exact divisions
+    form no Fraction."""
     if da == db:
         return da, 1, 1
     if type(da) is int:
         q = Fraction(db, da)  # (l / da) / (l / db) in lowest terms
         return da * q.numerator, q.numerator, q.denominator
-    g = _b_gcd(da.terms, db.terms)
-    lc = g[_leading(g)]
-    g = {m: _div(c, lc) for m, c in g.items()}
+    ta, tb = da.terms, db.terms
+    g = _b_gcd(ta, tb)
+    h = gcd(*ta.values(), *tb.values())
+    if g[_leading(g)] < 0:
+        h = -h
+    if h != 1:
+        g = {m: h * c for m, c in g.items()}
     ma, mb = (1 if q == _ONE_TERMS else BiPoly._raw(q)
-              for q in (_b_divexact(db.terms, g), _b_divexact(da.terms, g)))
+              for q in (_b_divexact(tb, g), _b_divexact(ta, g)))
     return (da if ma == 1 else da * ma), ma, mb
 
 

@@ -555,9 +555,6 @@ class RatFunc:
     def const(cls, c):
         return cls._canonical(BiPoly.const(c), BiPoly.one())
 
-    numerator = property(lambda self: self.num)  # as for a Fraction
-    denominator = property(lambda self: self.den)
-
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFunc):

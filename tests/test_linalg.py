@@ -527,6 +527,67 @@ def test_symbolic_arithmetic_against_entrywise_oracle(seed):
     assert d1 != Matrix(3, 3, changed) and d2 != Matrix(3, 3, changed)
 
 
+def _assert_integral_form(mat):
+    """den and every numerator of mat's column form over Q(r, s) are
+    BiPolys with int coefficients only, den with a positive leading
+    coefficient in graded lex order."""
+    den, cols = mat._form()
+    for p in (den, *(v for col in cols.values() for v in col.values())):
+        assert type(p) is BiPoly, p
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert den.terms[max(den.terms, key=lambda m: (m[0] + m[1], m[0]))] > 0
+
+
+def _assert_canonical(ent):
+    """Every value is a RatFunc with a monic den and int or non-integral
+    Fraction coefficients, as RatFunc arithmetic leaves it."""
+    for v in ent.values():
+        assert type(v) is RatFunc
+        dt = v.den.terms
+        assert dt[max(dt, key=lambda m: (m[0] + m[1], m[0]))] == 1
+        for c in (*v.num.terms.values(), *dt.values()):
+            assert type(c) is int or c.denominator != 1, v
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symbolic_column_form_is_integral(seed):
+    """Over Q(r, s) the column form has int coefficients only, for
+    entry-built matrices whose canonical entries have Fraction
+    coefficients, for one scaled by a non-monic RatFunc, and for sums and
+    products of them; the entries read out are the canonical RatFuncs of
+    entrywise RatFunc arithmetic.  R(z) at the eliminate benchmark's
+    z = (-r - 3/7 s)/(r s + 8/7) is among them."""
+    rng = random.Random(seed)
+    r, s = sym.r, sym.s
+    w = (r * 2 - s * 3) / (s * 5 + 4)
+    z = _eliminate_z(sym)
+    ea, eb = (_random_symbolic(rng, 3, 3).entries for _ in range(2))
+    a, b = Matrix(3, 3, ea), Matrix(3, 3, eb)
+    # polynomial entries in c keep the sums of products of a c cheap
+    ec = _polynomial_matrix(rng, 3, 3).entries
+    rz = build_r_z(2, sym)
+    cases = [
+        (a, ea),
+        (a.scale(w), _rf_lin({}, w, ea)),
+        (a.scale(Fraction(-3, 7)), _rf_lin({}, Fraction(-3, 7), ea)),
+        (a + b, _rf_lin(ea, 1, eb)),
+        (a.scale(w) - b, _rf_lin(_rf_lin({}, w, ea), -1, eb)),
+        (a * Matrix(3, 3, ec).scale(w), _rf_mul(ea, _rf_lin({}, w, ec))),
+        (rz.at(z), _rf_lin(rz.A.entries, z, rz.B.entries)),
+    ]
+    # the canonical entries have Fraction coefficients for the form to clear
+    assert all(any(type(c) is Fraction for v in ref.values()
+                   for c in (*v.num.terms.values(), *v.den.terms.values()))
+               for _, ref in cases[1:3] + cases[4:])
+    for mat, ref in cases:
+        _assert_integral_form(mat)
+        ent = mat.entries
+        assert ent == ref
+        _assert_canonical(ent)
+    # R(z) = A + z B with B over s: d = 7 clears z's coefficients
+    assert rz.at(z)._form()[0] == BiPoly({(1, 2): 7, (0, 1): 8})
+
+
 def test_symbolic_checks_reduce_no_fraction_in_products_and_sums(monkeypatch):
     """Over Q(r, s) the products and sums of a check multiply and add
     polynomials: RatFunc.__init__ (a gcd reduction) never runs under
@@ -866,12 +927,18 @@ def _eliminate_inputs(rng, field):
     return mats
 
 
+def _eliminate_z(field):
+    """z = (-r - 3/7 s)/(r s + 8/7), a z of the eliminate benchmark: its
+    canonical form has Fraction coefficients."""
+    return (field.r * -7 - field.s * 3) / (field.r * field.s * 7 + 8)
+
+
 def _division_in_the_kernel_raises(monkeypatch):
-    """RatFunc.__init__ anywhere under the elimination pass
-    (linalg._column_blocks and its _combine), and Fraction arithmetic in
-    rsqg.linalg under it, raise.  The pass is a generator, so the
-    read-out of what it yields runs outside it, and BiPoly coefficients
-    may still be Fractions: their arithmetic runs in rsqg.scalars."""
+    """RatFunc.__init__ and Fraction arithmetic anywhere under the
+    elimination pass (linalg._column_blocks and its _combine) raise: over
+    Q(r, s) the column form is integral, so BiPoly coefficients stay ints.
+    The pass is a generator, so the read-out of what it yields runs
+    outside it."""
     codes = {linalg._column_blocks.__code__, linalg._combine.__code__}
 
     def in_echelon(frame):
@@ -896,9 +963,7 @@ def _division_in_the_kernel_raises(monkeypatch):
         original = getattr(Fraction, name)
 
         def guard(a, b, _original=original, _name=name):
-            frame = sys._getframe(1)
-            if (frame.f_globals.get("__name__") == "rsqg.linalg"
-                    and in_echelon(frame)):
+            if in_echelon(sys._getframe(1)):
                 raise AssertionError(f"Fraction.{_name} in the echelon kernel")
             return _original(a, b)
 
@@ -913,6 +978,10 @@ def test_echelon_kernel_divides_nothing(monkeypatch, field):
     is divided only when invert, kernel_image_rank or from_vectors reads
     it out, over the echelon's pivot value."""
     mats = _eliminate_inputs(random.Random(19), field)
+    if field.mode == "symbolic":
+        # canonical entries with Fraction coefficients
+        z = _eliminate_z(field)
+        mats += [build_r_z(2, field).at(z), mats[1].scale(z)]
     calls = _division_in_the_kernel_raises(monkeypatch)
     for mat in mats:
         kernel, image, rank = kernel_image_rank(mat, field)
@@ -1065,7 +1134,9 @@ def _sympy_oracle(sympy, field):
 def _oracle_inputs(rng, field):
     """Dense 2x2 to 4x4 matrices, each also with a dependent last column,
     and a block-diagonal one, singular too; entry degrees stay <= 2 (the
-    4x4 ones <= 1), since sympy takes about 30 s on degree-2 4x4s."""
+    4x4 ones <= 1), since sympy takes about 30 s on degree-2 4x4s.  Over
+    Q(r, s) also three whose canonical entries have Fraction
+    coefficients, so that their column forms are made integral."""
     if field.mode == "symbolic":
         dense = [_polynomial_matrix(rng, n, n, 2 if n < 4 else 1,
                                     3 if n < 4 else 2) for n in (2, 3, 4)]
@@ -1075,8 +1146,22 @@ def _oracle_inputs(rng, field):
         c = Fraction(-3, 2)
     dense += [_with_dependent_column(m, c) for m in dense]
     blocks = [dense[0], dense[4], dense[1]]
-    return dense + [_block_diagonal(rng, blocks[:2]),
-                    _block_diagonal(rng, blocks[::2])]
+    out = dense + [_block_diagonal(rng, blocks[:2]),
+                   _block_diagonal(rng, blocks[::2])]
+    if field.mode == "symbolic":
+        # canonical entries with Fraction coefficients: R(z) at the
+        # eliminate benchmark's z, a matrix scaled by it, and entries
+        # whose denominators, made integral, have contents 1, 2 and 3 and
+        # the common factor s^2 - r, which _b_gcd returns as r - s^2, with
+        # a negative leading coefficient in graded lex order
+        z = _eliminate_z(field)
+        r, s = field.r, field.s
+        out += [build_r_z(2, field).at(z), dense[0].scale(z),
+                Matrix(2, 2, {(1, 1): (r + 1) / (r * 2 + 4),
+                              (1, 2): s / (s * s * 3 - r * 3),
+                              (2, 1): (r - s) / ((s * s - r) * (r + 3)),
+                              (2, 2): r / 2})]
+    return out
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1089,6 +1174,8 @@ def test_elimination_against_sympy(field, seed):
     sympy = pytest.importorskip("sympy")
     dense, rows = _sympy_oracle(sympy, field)
     for mat in _oracle_inputs(random.Random(seed), field):
+        if field.mode == "symbolic":
+            _assert_integral_form(mat)
         m = dense(mat)
         kernel, image, rank = kernel_image_rank(mat, field)
         assert rank == m.rank()
