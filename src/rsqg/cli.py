@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .rmatrix import (InternalMismatch, build_r, build_r_z,
                       check_braid_constant, check_min_poly,
@@ -84,7 +85,10 @@ def _emit_report(name, args, mode, report, rows=True, **extra):
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser():
+    """The rsqg argument parser, built once per process: parsing reads
+    it and leaves it unchanged, so every main call shares it."""
     ap = argparse.ArgumentParser(
         prog="rsqg",
         description="representations and R-matrices of the two-parameter "

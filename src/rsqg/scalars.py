@@ -17,8 +17,9 @@ Sampled computations substitute fixed rationals r0, s0 subject to genericity
 constraints, and all scalars are plain Fractions.
 
 The substitution r -> q, s -> 1/q, for comparison with the one-parameter
-theory, is an evaluation at (r, 1/r) in Q(r, s) itself: it lands in the
-s-free part Q(r), with q written as r, in the same canonical form.
+theory, is one pass over the terms of the numerator and denominator: it
+lands in the s-free part Q(r), with q written as r, in the same canonical
+form.
 """
 
 from __future__ import annotations
@@ -664,18 +665,28 @@ class RatFunc:
 def specialize_jimbo(f):
     """Substitute r -> q, s -> q^{-1} into f in Q(r, s).
 
-    q is written as r: the numerator and denominator are evaluated at
-    (r, r^{-1}) in Q(r, s) itself and divided, so the result is a RatFunc
-    whose terms all have s-degree 0.  Raises DenominatorVanishes if the
-    denominator evaluates to 0 (e.g. any multiple of rs - 1).
+    q is written as r: a term c r^a s^b of the numerator or denominator
+    becomes c r^(a - b + d), with d the largest s-degree of either, so
+    both stay polynomials and their quotient is unchanged.  The result is
+    one RatFunc whose terms all have s-degree 0.  Raises
+    DenominatorVanishes if the denominator becomes 0 (e.g. any multiple
+    of rs - 1).
     """
-    q = RatFunc(BiPoly.term(1, 0))
-    qinv = q**-1
-    den = f.den.evaluate(q, qinv)
+    d = max(b for t in (f.num.terms, f.den.terms) for _, b in t)
+    num, den = (_jimbo_terms(t, d) for t in (f.num.terms, f.den.terms))
     if not den:
         raise DenominatorVanishes(
             f"denominator {f.den} vanishes identically under r=q, s=1/q")
-    return f.num.evaluate(q, qinv) / den
+    return RatFunc(BiPoly._raw(num), BiPoly._raw(den))
+
+
+def _jimbo_terms(terms, d):
+    """terms with c r^a s^b sent to c r^(a - b + d), zeros dropped."""
+    out = {}
+    for (a, b), c in terms.items():
+        m = (a - b + d, 0)
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

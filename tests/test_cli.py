@@ -17,6 +17,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main parses with one cached parser; a run of subcommands through it,
+    # an invalid choice and a malformed rational among them, gives what a
+    # fresh parser gives for each
+    assert cli.build_parser() is cli.build_parser()
+    runs = [("rep", "natural", "-n", "2"), ("verify", "nope", "-n", "2"),
+            ("rmatrix", "-n", "2", "-z", "-2/7"), ("verify", "ybe", "-n", "2"),
+            ("rep", "natural", "-n", "2", "--r", "x"),
+            ("wedge", "verify", "-n", "3", "-k", "2", "--symbolic"),
+            ("weights", "-n", "2", "-k", "2"), ("verify", "ybe", "-n", "1")]
+    cached = [run_cli(capsys, *argv) for argv in runs]
+    assert [c[0] for c in cached] == [0, 2, 0, 0, 2, 0, 0, 2]
+    assert "invalid choice: 'nope'" in cached[1][2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert [run_cli(capsys, *argv) for argv in runs] == cached
+
+
 def test_rep_natural_json(capsys):
     code, out, err = run_cli(capsys, "rep", "natural", "-n", "2")
     assert code == 0 and err == ""

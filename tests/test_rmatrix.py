@@ -11,7 +11,8 @@ from rsqg import (CheckReport, InvalidPower, InvalidRank, Matrix,
                   invert, jimbo_compare, natural_rep, specialize_jimbo,
                   spectral_projector_check, tensor_index, tensor_power_rep,
                   yang_baxterize)
-from rsqg.rmatrix import _padded
+from rsqg import rmatrix
+from rsqg.rmatrix import _padded, _ybe_coefficients_agree
 
 sym = SymbolicField()
 smp = SampledField(2, 3)
@@ -132,28 +133,7 @@ def test_r_checks_build_no_kronecker_product(monkeypatch, field):
                                  tensor_power_rep(2, 3, field)).ok
 
 
-@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
-def test_ybe_evaluates_each_grid_product_once(monkeypatch, field):
-    # the products zw of the grid {1, 2, 3, 5}^2 take 10 distinct values,
-    # and one R(t) serves both positions
-    rz = build_r_z(2, field)
-    ts = []
-    at = SpectralRMatrix.at
-
-    def counted(self, t):
-        ts.append(t)
-        return at(self, t)
-
-    monkeypatch.setattr(SpectralRMatrix, "at", counted)
-    assert check_ybe_spectral(rz).ok
-    assert sorted(ts) == [1, 2, 3, 4, 5, 6, 9, 10, 15, 25]
-
-
-@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
-def test_group_like_rows_build_no_product(monkeypatch, field):
-    # rows D X = c X D with D = w_i, w_i' or an inverse are decided from
-    # the diagonal of D; only the rows of e_i and f_i multiply matrices
-    rep, R = tensor_power_rep(3, 3, field), build_r(3, field)
+def _count_products(monkeypatch):
     calls = []
     product = Matrix.__mul__
 
@@ -162,6 +142,57 @@ def test_group_like_rows_build_no_product(monkeypatch, field):
         return product(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_ybe_evaluates_each_grid_product_once(monkeypatch, field):
+    # a failing identity goes to the grid: the products zw of {1, 2, 3, 5}^2
+    # take 10 distinct values, and one R(t) serves both positions
+    rz = _scale_b(build_r_z(2, field), field)
+    ts = []
+    at = SpectralRMatrix.at
+
+    def counted(self, t):
+        ts.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(SpectralRMatrix, "at", counted)
+    assert not check_ybe_spectral(rz).ok
+    assert sorted(ts) == [1, 2, 3, 4, 5, 6, 9, 10, 15, 25]
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_passing_ybe_forms_24_products_and_no_grid_point(monkeypatch, field):
+    # 8 two-factor products X1 Y2 and X2 Y1, then one more for each of the
+    # 16 words of the seven coefficient identities; R(t) is never formed
+    rz = build_r_z(3, field)
+    calls = _count_products(monkeypatch)
+
+    def no_at(self, t):
+        raise AssertionError("SpectralRMatrix.at called")
+
+    monkeypatch.setattr(SpectralRMatrix, "at", no_at)
+    report = check_ybe_spectral(rz)
+    assert report.ok and len(calls) == 24
+    grid = (1, 2, 3, 5)
+    assert [(c.name, c.indices, c.witness) for c in report.checks] == [
+        ("ybe", (z, w), None) for z in grid for w in grid]
+
+
+def test_ybe_coefficient_identities_hold():
+    for n in (2, 3, 4):
+        assert _ybe_coefficients_agree(build_r_z(n, sym))
+    for n in (2, 3, 4, 5):
+        assert _ybe_coefficients_agree(build_r_z(n, smp))
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+def test_group_like_rows_build_no_product(monkeypatch, field):
+    # rows D X = c X D with D = w_i, w_i' or an inverse are decided from
+    # the diagonal of D; only the rows of e_i and f_i multiply matrices
+    rep, R = tensor_power_rep(3, 3, field), build_r(3, field)
+    calls = _count_products(monkeypatch)
     assert check_module_morphism(R, rep).ok
     # e1, e2, f1, f2 at positions 1 and 2, two products each
     assert len(calls) == 16
@@ -371,6 +402,41 @@ def test_spectral_checks_reject_a_corrupted_r_z(corrupt):
     rz = build_r_z(2, sym)
     assert jimbo_compare(rz).ok
     assert not jimbo_compare(corrupt(rz, sym)).ok
+
+
+def _double_b_11(rz, field):
+    return SpectralRMatrix(rz.n, rz.A, _double_11(rz.B, field), field)
+
+
+@pytest.mark.parametrize("field", [sym, smp], ids=["symbolic", "sampled"])
+@pytest.mark.parametrize("corrupt, products", [
+    # 2B leaves each identity of one word homogeneous; the zw identity,
+    # the fourth, sums the words ABA and BAB of different degrees in B
+    (_scale_b, 8 + 2 * 3 + 4),
+    # -A's exchange breaks the braid relation A1 A2 A1 = A2 A1 A2, the first
+    (_negate_a_exchange, 8 + 2),
+    # a doubled B(1, 1) breaks B1 A2 A1 = A2 A1 B2, the second
+    (_double_b_11, 8 + 2 * 2)],
+    ids=["scale_b", "negate_a_exchange", "double_b_11"])
+def test_ybe_coefficient_identities_fail_when_corrupted(monkeypatch, field,
+                                                        corrupt, products):
+    rz = corrupt(build_r_z(2, field), field)
+    calls = _count_products(monkeypatch)
+    assert not _ybe_coefficients_agree(rz)
+    # the first failing identity ends the pass
+    assert len(calls) == products
+    report = check_ybe_spectral(rz)
+    assert not report.ok
+    assert all(c.witness is not None for c in report.failures())
+
+
+def test_scaled_b_breaks_only_the_zw_identity(monkeypatch):
+    zw = (("ABA", "BAB"), ("ABA", "BAB"))
+    assert zw in rmatrix._YBE_COEFFICIENTS
+    monkeypatch.setattr(rmatrix, "_YBE_COEFFICIENTS", tuple(
+        c for c in rmatrix._YBE_COEFFICIENTS if c != zw))
+    for field in (sym, smp):
+        assert _ybe_coefficients_agree(_scale_b(build_r_z(2, field), field))
 
 
 def test_scaled_b_fails_every_grid_point_and_jimbo_b():
