@@ -101,7 +101,10 @@ class Matrix:
     denominators, with int coefficients only and a positive leading
     coefficient (not monic, as a RatFunc den is), so that products and
     sums reduce no fraction and form no Fraction coefficient.  A result
-    of arithmetic holds only _q until entries is read.
+    of arithmetic, or a matrix born in the form (_from_form, as the
+    generators of a tensor power are), holds only _q until entries is
+    read.  entries reads each distinct numerator out once; to_json does
+    the same and keeps no entries, and repr counts from the form.
     """
 
     __slots__ = ("rows", "cols", "_entries", "_q")
@@ -155,8 +158,9 @@ class Matrix:
         ent = self._entries
         if ent is None:
             den, cols = self._q
-            ent = self._entries = {(i, j): v for j, col in cols.items()
-                                   for i, v in _over(col, den).items()}
+            read = _reader(den)
+            ent = self._entries = {(i, j): read(v) for j, col in cols.items()
+                                   for i, v in col.items()}
         return ent
 
     def _form(self):
@@ -299,15 +303,41 @@ class Matrix:
         return _over(acc, den)
 
     def to_json(self):
-        ent = self.entries
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[i, j, str(ent[(i, j)])] for (i, j) in sorted(ent)],
-        }
+        """The entries as [i, j, str] in row-major order; a matrix that
+        holds only its column form prints each distinct numerator once
+        and keeps no entries."""
+        ent = self._entries
+        if ent is None:
+            den, cols = self._q
+            text = _reader(den, str)
+            rows = sorted([i, j, text(v)] for j, col in cols.items()
+                          for i, v in col.items())
+        else:
+            rows = [[i, j, str(ent[(i, j)])] for (i, j) in sorted(ent)]
+        return {"rows": self.rows, "cols": self.cols, "entries": rows}
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        ent = self._entries
+        nnz = (len(ent) if ent is not None
+               else sum(map(len, self._q[1].values())))
+        return f"Matrix({self.rows}x{self.cols}, nnz={nnz})"
+
+
+def _reader(den, show=None):
+    """v -> v / den for the numerators v of a column form, as _over reads
+    them, each distinct v read out once (and passed through show, when
+    given): one memo shared across the columns, keyed by the int or
+    BiPoly numerator."""
+    make = Fraction if type(den) is int else RatFunc
+    memo = {}
+
+    def read(v):
+        x = memo.get(v)
+        if x is None:
+            x = make(v, den)
+            x = memo[v] = x if show is None else show(x)
+        return x
+    return read
 
 
 def _over(col, den):

@@ -12,15 +12,18 @@ the tuple content on a tensor power) and verified, never recovered: the
 weight spaces require w_i, w_i' to act diagonally by the character of
 each basis vector's weight.
 
-The coproduct action on V^{x k} has one construction, a closed form on a
-single monomial: w_i, w_i' are group-like, e_i acts on one factor with
-the w_i eigenvalues of the factors before it, and f_i with the w_i'
-eigenvalues of the factors after it.  It yields one term list per
-monomial, which both consumers read: tensor_action turns it into the
-image of one monomial, and _tensor_generator builds one generator's
-matrix by placing each term of a column by the stride of its tensor
-position.  tensor_power_rep builds each generator only when it is first
-looked up; the wedge modules build each one, use it and drop it.
+The coproduct action on V^{x k} is the iterated coproduct
+Delta(e_i) = e_i x 1 + w_i x e_i, Delta(f_i) = 1 x f_i + f_i x w_i',
+with w_i, w_i' group-like: e_i acts on one factor with the w_i
+eigenvalues of the factors before it, and f_i with the w_i' eigenvalues
+of the factors after it.  _tensor_generator builds one generator's
+matrix from it, straight into the column form: the coefficients of all
+prefixes (or suffixes) at once as Kronecker sums of exponent codes, each
+term placed by the stride of its tensor position.  _action_terms states
+the same action on one monomial, which tensor_action reads.
+tensor_power_rep builds each generator only when it is first looked up;
+the wedge modules build each one, use it and drop it, and so does the
+weight check of a tensor power.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
-from .linalg import Matrix, Subspace, _kernel_blocks
+from .linalg import Matrix, Subspace, _kernel_blocks, _reader
 
 
 class InvalidRank(ValueError):
@@ -205,9 +207,17 @@ def tensor_power_rep(n, k, field):
         raise InvalidRank("rank parameter n must be at least 2")
     if k < 1:
         raise InvalidPower("tensor power k must be at least 1")
+    # the content of a tuple as the code sum of (k + 1)^(t - 1) over its
+    # entries t, so that the codes of the tuples are Kronecker sums; one
+    # Weight per distinct content
+    letter = [(k + 1)**t for t in range(n)]
+    codes = [0]
+    for _ in range(k):
+        codes = [x + y for x in codes for y in letter]
+    shared = {c: Weight(tuple(c // d % (k + 1) for d in letter))
+              for c in set(codes)}
     return Representation(n, n**k, _TensorGenerators(n, k, field), field,
-                          [_content(tup, n)
-                           for tup in product(range(1, n + 1), repeat=k)])
+                          [shared[c] for c in codes])
 
 
 class _TensorGenerators(Mapping):
@@ -229,6 +239,15 @@ class _TensorGenerators(Mapping):
                 self._field, self._n, self._k, name)
         return mat
 
+    def once(self, name):
+        """The matrix of name for a reader that needs it once: the one
+        held, else a new one that is not kept, so that such a reader
+        holds one generator at a time."""
+        mat = self._built[name]
+        if mat is None:
+            mat = _tensor_generator(self._field, self._n, self._k, name)
+        return mat
+
     def __contains__(self, name):
         return name in self._built
 
@@ -240,19 +259,60 @@ class _TensorGenerators(Mapping):
 
 
 def _tensor_generator(field, n, k, name):
-    """Matrix of one generator on V^{x k}; column col is its action on
-    the col-th tuple in lexicographic order."""
-    # term (pos, t, c) of column col replaces factor pos of the col-th
-    # tuple by v_t, which moves the index by (t - tup[pos]) times the
-    # place value n^(k-1-pos) of that factor
+    """Matrix of one generator on V^{x k}, born in the column form;
+    column col is its action on the col-th tuple in lexicographic order.
+
+    It is the iterated coproduct, with p counting the factors before the
+    acting one:
+        Delta^(k)(e_i) = sum_p w_i^(x p) x e_i x 1^(x (k-1-p)),
+        Delta^(k)(f_i) = sum_p 1^(x p) x f_i x w_i'^(x (k-1-p)),
+    and each group-like the k-fold Kronecker power of its diagonal on V.
+    A coefficient r^a s^b (0 <= a, b <= k) is carried as the int code
+    a (k + 1) + b, so that the codes of a Kronecker power are sums, and
+    the term of factor p moves the index by its place value n^(k-1-p).
+    Each distinct code is read into its numerator once, by _form of the
+    1 x m matrix of the distinct values: the common denominator is the
+    lcm of the same entry denominators, so the form equals that of the
+    entries.
+    """
     fam, i, inv = _generators(n)[name]
-    strides = [n ** (k - 1 - pos) for pos in range(k)]
-    ent = {}
-    for col, tup in enumerate(product(range(1, n + 1), repeat=k), 1):
-        for pos, t, c in _action_terms(field, fam, i, inv, tup):
-            row = col if pos is None else col + (t - tup[pos]) * strides[pos]
-            ent[(row, col)] = c
-    return Matrix(n**k, n**k, ent, _clean=True)
+    dim, step = n**k, k + 1
+    # per factor v_t, the code of w_i (for e and w) or w_i' (for f and wp)
+    factor = [0] * n
+    factor[i - 1], factor[i] = (step, 1) if fam in ("e", "w") else (1, step)
+    grouplike = fam in ("w", "wp")
+    powers = [[0]]  # the codes of w^(x m), in lexicographic order
+    for _ in range(k if grouplike else k - 1):
+        powers.append([x + y for x in powers[-1] for y in factor])
+    sign = -1 if inv else 1
+    codes = list({c for power in (powers[k:] if grouplike else powers)
+                  for c in power})
+    den, row = Matrix(1, len(codes), {
+        (1, j): field.rs_power(sign * (c // step), sign * (c % step))
+        for j, c in enumerate(codes, 1)}, _clean=True)._form()
+    num = {c: row[j][1] for j, c in enumerate(codes, 1)}
+    if grouplike:
+        return Matrix._from_form(dim, dim, (den, {
+            j: {j: num[c]} for j, c in enumerate(powers[k], 1)}))
+    slots = [{} for _ in range(dim + 1)]  # column j at slot j; 0 stays empty
+    for p in range(k) if fam == "e" else range(k - 1, -1, -1):
+        stride = n**(k - 1 - p)
+        if fam == "e":
+            # v_{i+1} at factor p, weighted by the w_i code of the prefix
+            for q, c in enumerate(powers[p]):
+                v = num[c]
+                start = (q * n + i) * stride + 1
+                for col in range(start, start + stride):
+                    slots[col][col - stride] = v
+        else:
+            # v_i at factor p, weighted by the w_i' code of the suffix
+            suffix = [num[c] for c in powers[k - 1 - p]]
+            for q in range(n**p):
+                start = (q * n + i - 1) * stride + 1
+                for col, v in enumerate(suffix, start):
+                    slots[col][col + stride] = v
+    return Matrix._from_form(dim, dim, (den, {
+        j: col for j, col in enumerate(slots) if col}))
 
 
 def _action_terms(field, fam, i, inv, tup):
@@ -265,7 +325,9 @@ def _action_terms(field, fam, i, inv, tup):
     w_i' by r^b s^a, and the inverses negate both exponents.  e_i turns
     each factor v_{i+1} into v_i with coefficient r^a s^b, counted over
     the factors before it; f_i turns each factor v_i into v_{i+1} with
-    coefficient r^b s^a, counted over the factors after it.
+    coefficient r^b s^a, counted over the factors after it.  This is the
+    iterated coproduct on one monomial, which _tensor_generator builds
+    for all monomials at once.
     """
     rs_power = field.rs_power
     if fam in ("w", "wp"):
@@ -424,15 +486,20 @@ def weight_char(lam, n, field):
 
 def _verified_weights(rep):
     """rep.weights, after checking that every w_i, w_i' acts diagonally on
-    basis vector t by the character of weights[t]."""
+    basis vector t by the character of weights[t]; decided from each
+    generator's column form (_acts_by), whose entries are read only to
+    name a failure."""
     chars = {w: weight_char(w, rep.n, rep.field) for w in set(rep.weights)}
     per_basis = [chars[w] for w in rep.weights]
+    gens = rep.gens
+    lookup = (gens.once if isinstance(gens, _TensorGenerators)
+              else gens.__getitem__)
     for i in range(1, rep.n):
         for primed, name in ((0, f"w{i}"), (1, f"wp{i}")):
-            ent = rep.gens[name].entries
-            if ent == {(t, t): ch[i - 1][primed]
-                       for t, ch in enumerate(per_basis, 1)}:
+            mat = lookup(name)
+            if _acts_by(mat, [ch[i - 1][primed] for ch in per_basis]):
                 continue
+            ent = mat.entries
             t = next((t for t, ch in enumerate(per_basis, 1)
                       if ent.get((t, t)) != ch[i - 1][primed]), None)
             if t is not None:
@@ -448,6 +515,31 @@ def _verified_weights(rep):
                 "lhs": {a: v for (a, b), v in ent.items() if b == t},
                 "rhs": {t: want}})
     return rep.weights
+
+
+def _acts_by(mat, diag):
+    """Whether mat is the diagonal matrix with diagonal diag, from its
+    column form: every column t holds only (t, t), whose numerator, each
+    distinct one read out once, is diag[t - 1].  Each pair of a numerator
+    and a value of diag (one of a few shared characters) is compared
+    once."""
+    den, cols = mat._form()
+    if len(cols) != len(diag):
+        return False
+    read = _reader(den)
+    verdict = {}
+    for t, want in enumerate(diag, 1):
+        col = cols.get(t)
+        if col is None or len(col) != 1 or t not in col:
+            return False
+        v = col[t]
+        key = v, id(want)  # want is held by diag while the memo lives
+        ok = verdict.get(key)
+        if ok is None:
+            ok = verdict[key] = read(v) == want
+        if not ok:
+            return False
+    return True
 
 
 def weight_spaces(rep):

@@ -217,6 +217,37 @@ def test_matrix_json_sorted():
     }
 
 
+@pytest.mark.parametrize("field", [SampledField(Fraction(-2, 3), 5),
+                                   SymbolicField()],
+                         ids=["sampled", "symbolic"])
+def test_form_born_matrix_reads_each_numerator_once(monkeypatch, field):
+    # a product holds only its column form: repr counts from it and
+    # to_json keeps no entries, both as the matrix of its entries prints,
+    # and entries reads each distinct numerator out once
+    rep = tensor_power_rep(3, 3, field)
+    mat = rep.w_inv(1) * rep.e(1) + rep.f(2)
+    assert mat._entries is None
+    text, js = repr(mat), mat.to_json()
+    assert mat._entries is None
+    den, cols = mat._form()
+    numerators = [v for col in cols.values() for v in col.values()]
+    assert len(set(numerators)) < len(numerators)
+    name = "Fraction" if type(den) is int else "RatFunc"
+    made = []
+
+    def counting(v, d, _make=getattr(linalg, name)):
+        made.append(v)
+        return _make(v, d)
+
+    monkeypatch.setattr(linalg, name, counting)
+    ent = mat.entries
+    monkeypatch.undo()
+    assert sorted(map(str, made)) == sorted(map(str, set(numerators)))
+    ref = Matrix(mat.rows, mat.cols, dict(ent))
+    assert (text, js) == (repr(ref), ref.to_json())
+    assert text == f"Matrix(27x27, nnz={len(numerators)})"
+
+
 def test_subspace_canonical_basis_trailing_pivot():
     # same span, different spanning sets -> identical canonical bases
     v1 = {1: Fraction(1), 2: Fraction(1)}

@@ -160,18 +160,45 @@ def test_tensor_action_matches_matrices():
 
 
 def test_tensor_action_without_e_prefix_is_caught(monkeypatch):
-    real = uqrs_mod._action_terms
+    # every term of e with coefficient 1: the w_i prefix dropped from
+    # Delta^(k)(e_i), which the Kronecker reference must tell apart
+    real = uqrs_mod._tensor_generator
 
-    def no_prefix(field, fam, i, inv, tup):
-        terms = real(field, fam, i, inv, tup)
-        if fam == "e":
-            return [(pos, t, field.one) for pos, t, _ in terms]
-        return terms
+    def no_prefix(field, n, k, name):
+        mat = real(field, n, k, name)
+        if not name.startswith("e"):
+            return mat
+        den, cols = mat._form()
+        return Matrix._from_form(mat.rows, mat.cols, (den, {
+            j: dict.fromkeys(col, den) for j, col in cols.items()}))
 
-    monkeypatch.setattr(uqrs_mod, "_action_terms", no_prefix)
+    monkeypatch.setattr(uqrs_mod, "_tensor_generator", no_prefix)
     for n, k, field in _KRON_CASES:
-        rep = tensor_power_rep(n, k, field)
-        assert rep.gens != kron_tensor_power(n, k, field), (n, k, field)
+        rep, ref = tensor_power_rep(n, k, field), kron_tensor_power(n, k, field)
+        assert rep.gens != ref, (n, k, field)
+        assert [name for name in rep.gens if rep.gens[name] != ref[name]
+                ] == [f"e{i}" for i in range(1, n)], (n, k, field)
+
+
+@pytest.mark.parametrize("field", [sym, SampledField(Fraction(-2, 3), 5),
+                                   SampledField(Fraction(3, 4),
+                                                Fraction(-1, 6))],
+                         ids=["Q(r, s)", "(-2/3, 5)", "(3/4, -1/6)"])
+def test_tensor_generator_form_is_that_of_its_entries(field):
+    # the form born from the coproduct codes against the form of the
+    # entries of tensor_action, den and numerators alike: denominators
+    # from the inverses and negative values from the sampled points
+    for n in (2, 3, 4):
+        for k in (1, 2, 3, 4):
+            for name in uqrs_mod._generator_names(n):
+                ent = {(tensor_index(u, n), col): c
+                       for col in range(1, n**k + 1)
+                       for u, c in tensor_action(
+                           field, n, name, tensor_tuple(col, n, k)).items()}
+                got = uqrs_mod._tensor_generator(field, n, k, name)
+                den, cols = Matrix(n**k, n**k, ent)._form()
+                assert type(got._form()[0]) is type(den)
+                assert got._form() == (den, cols), (n, k, name)
 
 
 def test_tensor_power_columns_are_tensor_action():
@@ -204,16 +231,52 @@ def test_tensor_action_rejects_what_rank_n_lacks():
 
 
 def test_tensor_power_generators_are_built_on_first_use(monkeypatch):
-    real = uqrs_mod._action_terms
-    seen = set()
+    real = uqrs_mod._tensor_generator
+    seen = []
 
-    def recording(field, fam, i, inv, tup):
-        seen.add((fam, inv))
-        return real(field, fam, i, inv, tup)
+    def recording(field, n, k, name):
+        seen.append(name)
+        return real(field, n, k, name)
 
-    monkeypatch.setattr(uqrs_mod, "_action_terms", recording)
-    weight_spaces(tensor_power_rep(4, 3, smp))
-    assert seen == {("w", False), ("wp", False)}
+    monkeypatch.setattr(uqrs_mod, "_tensor_generator", recording)
+    rep = tensor_power_rep(4, 3, smp)
+    assert seen == []
+    # the weight check builds the group-likes it reads and keeps none
+    weight_spaces(rep)
+    assert seen == ["w1", "wp1", "w2", "wp2", "w3", "wp3"]
+    assert rep.e(2) is rep.e(2) and rep.w(1) is rep.w(1)
+    assert seen[6:] == ["e2", "w1"]
+    # a held generator is read, not built again
+    weight_spaces(rep)
+    assert seen[8:] == ["wp1", "w2", "wp2", "w3", "wp3"]
+
+
+def test_weight_check_of_a_tensor_power_reads_what_is_built(monkeypatch):
+    # the group-likes the weight check builds and drops are the ones a
+    # lookup builds, so a corrupted builder fails the check
+    real = uqrs_mod._tensor_generator
+
+    def scaled(field, n, k, name):
+        mat = real(field, n, k, name)
+        return mat.scale(2) if name == "wp2" else mat
+
+    monkeypatch.setattr(uqrs_mod, "_tensor_generator", scaled)
+    with pytest.raises(NonDiagonalAction,
+                       match=r"^wp2 .* basis vector 1 .*\(3, 0, 0\)$") as exc:
+        weight_spaces(tensor_power_rep(3, 3, smp))
+    assert exc.value.witness == {"witness_basis_index": 1,
+                                 "lhs": {1: Fraction(2)},
+                                 "rhs": {1: Fraction(1)}}
+
+
+def test_tensor_power_weights_are_shared_contents():
+    # one Weight object per distinct content, in the per-tuple order
+    for n, k in ((2, 1), (2, 3), (3, 4), (4, 6), (5, 3)):
+        weights = tensor_power_rep(n, k, smp).weights
+        assert weights == [uqrs_mod._content(tup, n) for tup in
+                           (tensor_tuple(t, n, k) for t in range(1, n**k + 1))]
+        assert len({id(w) for w in weights}) == len(set(weights))
+    assert len(set(tensor_power_rep(4, 6, smp).weights)) == 84
 
 
 def test_tensor_power_generators_read_as_a_dict():
@@ -302,6 +365,12 @@ def test_weight_spaces_verifies_the_carried_weights():
         weight_spaces(Representation(2, 2, gens, sym, rep.weights))
     assert exc.value.witness == {"witness_basis_index": 1,
                                  "lhs": {1: sym.s}, "rhs": {1: sym.r}}
+    # the right value at v_1 repeated at v_2, whose character differs
+    gens = dict(rep.gens, w1=Matrix.diagonal([sym.r, sym.r]))
+    with pytest.raises(NonDiagonalAction, match=r"w1 .* basis vector 2 ") as exc:
+        weight_spaces(Representation(2, 2, gens, sym, rep.weights))
+    assert exc.value.witness == {"witness_basis_index": 2,
+                                 "lhs": {2: sym.r}, "rhs": {2: sym.s}}
     # w1' rescaled at one basis vector of the tensor square
     rep2 = tensor_power_rep(2, 2, smp)
     ent = dict(rep2.wp(1).entries)
